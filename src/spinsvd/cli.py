@@ -2,7 +2,7 @@
 
 All numeric file outputs are deterministic: CSVs carry 17 significant
 digits, manifests are JSON with sorted keys, heatmaps are binary PGM.
-Exit codes: 0 success, 1 usage/input error, 2 numerical non-convergence.
+Exit codes: 0 success, 1 usage/input error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ import numpy as np
 from . import corr as corr_mod
 from . import exact, four_site, mps, svd_analysis
 from .basis import enumerate_sector
-from .errors import ConvergenceError, InvalidSizeError
+from .errors import (
+    ConditioningError,
+    ConvergenceError,
+    DegenerateGroundStateError,
+    InvalidSizeError,
+)
 
 STATE_FORMAT = "spinsvd-state-v1"
 ED_CLI_CAP = 20
@@ -199,9 +204,12 @@ def _cmd_corr(args):
 
 
 def _cmd_analyze(args):
+    matrix = read_matrix_csv(args.matrix)
+    bad = [n for n in args.components or [] if not 1 <= n <= matrix.shape[0]]
+    if bad:
+        raise ValueError(f"--components must lie in 1..{matrix.shape[0]}, got {bad}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    matrix = read_matrix_csv(args.matrix)
     matrix = np.triu(matrix) + np.triu(matrix, 1).T  # exact symmetry for eigh
     spec = svd_analysis.eigendecompose(matrix)
     n_sites = spec.n
@@ -292,8 +300,25 @@ def _parse_components(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit 1; exit 2 is kept for numerics."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinsvd",
         description="Heisenberg-ring ground/thermal states and correlation-matrix SVD analysis",
     )
@@ -302,8 +327,8 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="compute a ground state (ED or MPS)")
     p_solve.add_argument("--method", choices=["ed", "mps"], required=True)
     p_solve.add_argument("--n", type=int, required=True, help="even chain length >= 4")
-    p_solve.add_argument("--chi", type=int, default=10)
-    p_solve.add_argument("--sweeps", type=int, default=40)
+    p_solve.add_argument("--chi", type=_positive_int, default=10)
+    p_solve.add_argument("--sweeps", type=_positive_int, default=40)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--j", type=float, default=1.0)
     p_solve.add_argument("--out", required=True)
@@ -339,7 +364,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
+    except (
+        ConvergenceError,
+        ConditioningError,
+        DegenerateGroundStateError,
+        np.linalg.LinAlgError,  # a ValueError subclass, so caught first
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidSizeError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

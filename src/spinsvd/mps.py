@@ -9,6 +9,7 @@ one site's tensor, with all other tensors fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -18,6 +19,7 @@ _SZ = np.diag([-0.5, 0.5])
 _SP = np.array([[0.0, 0.0], [1.0, 0.0]])  # <up|S+|down> = 1
 _SM = _SP.T
 _I2 = np.eye(2)
+_OPS = np.stack([_I2, _SZ, _SP, _SM])
 
 # N_eff regularization: relative identity shift and relative cutoff below
 # which Gram directions are projected out (PBC Gram matrices are routinely
@@ -44,86 +46,89 @@ class MpsState:
         return MpsState(self.n_sites, self.chi, self.tensors.copy())
 
 
-def _transfer(a, op=None):
-    """Doubled transfer matrix sum_{s',s} op[s',s] kron(A^{s'}, A^{s})."""
-    if op is None:
-        return np.kron(a[0], a[0]) + np.kron(a[1], a[1])
-    out = 0.0
-    for sp in range(2):
-        for s in range(2):
-            if op[sp, s] != 0.0:
-                out = out + op[sp, s] * np.kron(a[sp], a[s])
-    return out
+@dataclass
+class _Block:
+    """Ring segment: plain transfer product p, sum h of its bonds (J = 1), and
+    products with Sz, S+, S- (stacked) at its first (left) or last (right) site."""
+
+    p: np.ndarray
+    h: np.ndarray
+    left: np.ndarray | None
+    right: np.ndarray
 
 
-def _transfer_set(state):
-    """Plain, Sz-, S+- and S--inserted transfer matrices for every site."""
-    e, ez, ep, em = [], [], [], []
-    for a in state.tensors:
-        e.append(_transfer(a))
-        ez.append(_transfer(a, _SZ))
-        ep.append(_transfer(a, _SP))
-        em.append(_transfer(a, _SM))
-    return e, ez, ep, em
+def _transfers(a):
+    """Stacked sum_{s',s} O[s',s] kron(A^{s'}, A^s) for O = I, Sz, S+, S-."""
+    oa = np.einsum("ots,tab->osab", _OPS, a)
+    return np.einsum("osab,scd->oacbd", oa, a).reshape(4, a[0].size, a[0].size)
 
 
-def _update_transfer_set(ts, state, k):
-    e, ez, ep, em = ts
-    a = state.tensors[k]
-    e[k] = _transfer(a)
-    ez[k] = _transfer(a, _SZ)
-    ep[k] = _transfer(a, _SP)
-    em[k] = _transfer(a, _SM)
+def _site_block(a):
+    t = _transfers(a)
+    return _Block(t[0], np.zeros_like(t[0]), t[1:], t[1:])
 
 
-def _env_to_quadratic(g, chi):
-    """Ring environment (b'b, a'a) -> matrix on the site vector (a'b', ab)."""
-    return g.reshape(chi, chi, chi, chi).transpose(2, 0, 3, 1).reshape(chi * chi, chi * chi)
+def _combine(a, b):
+    """Block of segment a followed by segment b; None is the empty segment."""
+    if a is None or b is None:
+        return b if a is None else a
+    (az, ap, am), (bz, bp, bm) = a.right, b.left
+    bond = az @ bz + 0.5 * (ap @ bm + am @ bp)
+    return _Block(a.p @ b.p, a.h @ b.p + a.p @ b.h + bond, a.left @ b.p, a.p @ b.right)
 
 
-def _site_matrices(ts, k, n_sites, chi, j_coupling):
-    """Effective H and Gram matrix for the tensor at site k.
+def _ring_env(state, site):
+    """Block of the sites site+1 ... site-1 round the ring."""
+    env = None
+    for a in np.roll(state.tensors, -site - 1, axis=0)[:-1]:
+        env = _combine(env, _site_block(a))
+    return env
 
-    One pass around the ring (sites k+1 ... k+N-1) accumulates the plain
-    product, the interior Hamiltonian bonds, and the two bonds touching k.
+
+def _sweep_envs(state):
+    """Yield (k, environment of site k) for k = 0 ... N-1.
+
+    Right blocks R_k (sites k+1 ... N-1) are built once at the start; the
+    left block (sites 0 ... k-1) grows from each tensor as it is when the
+    generator resumes, so an update at site k is seen by later sites. R_k
+    is stored without its left ends, which are rebuilt from R_{k+1}.p on
+    use: storing them too would add 3 matrices to the 5 kept per block.
     """
-    e, ez, ep, em = ts
+    n = state.n_sites
+    right, block, left = [None] * n, None, None
+    for k in range(n - 2, -1, -1):
+        block = _combine(_site_block(state.tensors[k + 1]), block)
+        kept = np.stack([block.p, block.h, *block.right])  # one array: lower peak RSS
+        right[k] = _Block(kept[0], kept[1], None, kept[2:])
+    for k in range(n):
+        if k > 0:
+            left = _combine(left, _site_block(state.tensors[k - 1]))
+        r, right[k] = right[k], None
+        if r is not None:
+            ends = _transfers(state.tensors[k + 1])[1:]
+            r.left = ends if k + 2 == n else ends @ right[k + 1].p
+        yield k, _combine(r, left)
+
+
+def _site_matrices(env, chi, j_coupling):
+    """Effective H and Gram block N_env (N_eff = I_2 (x) N_env) of a site.
+
+    env runs from the right neighbour round to the left one, so its left
+    ends close the bond to the right and its right ends the bond to the left.
+    """
     d2 = chi * chi
-    js = [(k + 1 + t) % n_sites for t in range(n_sites - 1)]
+    ez, ep, em = env.left + env.right
+    g = np.stack([env.h, ez, 0.5 * em, 0.5 * ep, env.p])
+    # ring environment (b'b, a'a) -> matrix on the site vector (a'b', ab)
+    g = g.reshape(5, chi, chi, chi, chi).transpose(0, 3, 1, 4, 2).reshape(5, d2, d2)
+    heff = j_coupling * np.einsum("ost,oab->satb", _OPS, g[:4]).reshape(2 * d2, 2 * d2)
+    return 0.5 * (heff + heff.T), 0.5 * (g[4] + g[4].T)
 
-    p = np.eye(d2)
-    q = np.zeros((d2, d2))
-    rz = rp = rm = None
-    fz = fp = fm = None
-    glz = glp = glm = None
 
-    for idx, j in enumerate(js):
-        last = idx == len(js) - 1
-        q = q @ e[j]
-        if rz is not None:
-            q += rz @ ez[j] + 0.5 * (rp @ em[j] + rm @ ep[j])
-        if last:
-            glz, glp, glm = p @ ez[j], p @ ep[j], p @ em[j]
-            rz = rp = rm = None
-        else:
-            rz, rp, rm = p @ ez[j], p @ ep[j], p @ em[j]
-        if idx == 0:
-            fz, fp, fm = ez[j], ep[j], em[j]
-        else:
-            fz, fp, fm = fz @ e[j], fp @ e[j], fm @ e[j]
-        p = p @ e[j]
-
-    heff = (
-        np.kron(_I2, _env_to_quadratic(q, chi))
-        + np.kron(_SZ, _env_to_quadratic(fz + glz, chi))
-        + 0.5 * np.kron(_SP, _env_to_quadratic(fm + glm, chi))
-        + 0.5 * np.kron(_SM, _env_to_quadratic(fp + glp, chi))
-    )
-    heff *= j_coupling
-    neff = np.kron(_I2, _env_to_quadratic(p, chi))
-    heff = 0.5 * (heff + heff.T)
-    neff = 0.5 * (neff + neff.T)
-    return heff, neff
+def _gram(x, nenv):
+    """x . (I_2 (x) nenv) . x for a site vector x."""
+    xs = x.reshape(2, -1)
+    return float(np.vdot(xs @ nenv, xs))
 
 
 def random_init(n_sites, chi, seed=0):
@@ -143,54 +148,53 @@ def random_init(n_sites, chi, seed=0):
 
 def norm_squared(state):
     """<psi|psi> = tr of the ring product of plain transfer matrices."""
-    prod = None
-    for a in state.tensors:
-        t = _transfer(a)
-        prod = t if prod is None else prod @ t
-    return float(np.trace(prod))
+    return float(np.trace(reduce(np.matmul, [_transfers(a)[0] for a in state.tensors])))
 
 
 def energy(state, j_coupling=1.0):
     """Rayleigh quotient <psi|H|psi>/<psi|psi>."""
-    ts = _transfer_set(state)
-    heff, neff = _site_matrices(ts, 0, state.n_sites, state.chi, j_coupling)
+    heff, nenv = _site_matrices(_ring_env(state, 0), state.chi, j_coupling)
     x = state.tensors[0].reshape(-1)
-    denom = float(x @ neff @ x)
+    denom = _gram(x, nenv)
     if abs(denom) < 1e-300:
         raise ConditioningError("state norm vanishes")
     return float(x @ heff @ x) / denom
 
 
-def _solve_site(heff, neff):
-    """Lowest generalized eigenpair on the well-conditioned Gram subspace."""
-    dim = neff.shape[0]
-    shift = _NEFF_EPS * np.trace(neff) / dim
-    d, v = np.linalg.eigh(neff + shift * np.eye(dim))
+def _solve_site(heff, nenv):
+    """Lowest generalized eigenpair on the well-conditioned Gram subspace.
+
+    N_eff = I_2 (x) nenv, so eigh runs on nenv and W = I_2 (x) W_env.
+    """
+    dim = nenv.shape[0]
+    shift = _NEFF_EPS * np.trace(nenv) / dim
+    d, v = np.linalg.eigh(nenv + shift * np.eye(dim))
     keep = d > _NEFF_CUTOFF * d[-1]
     if not np.any(keep):
         raise ConditioningError(
-            f"all {dim} Gram directions below cutoff (max eigenvalue {d[-1]:.3e})"
+            f"all {2 * dim} Gram directions below cutoff (max eigenvalue {d[-1]:.3e})"
         )
-    w = v[:, keep] / np.sqrt(d[keep])
+    w = np.kron(_I2, v[:, keep] / np.sqrt(d[keep]))
     ht = w.T @ heff @ w
     ht = 0.5 * (ht + ht.T)
     evals, y = np.linalg.eigh(ht)
-    x = w @ y[:, 0]
-    return float(evals[0]), x
+    return float(evals[0]), w @ y[:, 0]
 
 
-def optimize_site(state, site, j_coupling=1.0, transfer_set=None):
+def optimize_site(state, site, j_coupling=1.0, env=None):
     """Replace one site tensor by the locally optimal one; returns energy.
 
     Mutates state in place. The returned value is the new global Rayleigh
     quotient (equal to the generalized eigenvalue of the local problem).
+    env is the site's ring environment block; it is built when not given.
     """
-    ts = transfer_set if transfer_set is not None else _transfer_set(state)
-    heff, neff = _site_matrices(ts, site, state.n_sites, state.chi, j_coupling)
+    if env is None:
+        env = _ring_env(state, site)
+    heff, nenv = _site_matrices(env, state.chi, j_coupling)
     x_old = state.tensors[site].reshape(-1)
-    e_old = float(x_old @ heff @ x_old) / float(x_old @ neff @ x_old)
-    _, x = _solve_site(heff, neff)
-    n2 = float(x @ neff @ x)
+    e_old = float(x_old @ heff @ x_old) / _gram(x_old, nenv)
+    _, x = _solve_site(heff, nenv)
+    n2 = _gram(x, nenv)
     if not np.isfinite(n2) or n2 <= 0:
         raise ConditioningError(f"updated site has non-positive norm {n2:.3e}")
     e_new = float(x @ heff @ x) / n2
@@ -198,9 +202,7 @@ def optimize_site(state, site, j_coupling=1.0, transfer_set=None):
         # the projected subspace can miss part of the current tensor when
         # Gram directions are discarded; never accept an energy rise
         return e_old
-    x = x / np.sqrt(n2)
-    state.tensors[site] = x.reshape(2, state.chi, state.chi)
-    _update_transfer_set(ts, state, site)
+    state.tensors[site] = (x / np.sqrt(n2)).reshape(2, state.chi, state.chi)
     return e_new
 
 
@@ -211,15 +213,15 @@ def sweep_optimize(state, j_coupling=1.0, n_sweeps=40, track_spectrum=False):
     needs many more, so track_spectrum records its relative change per
     sweep when requested.
     """
+    if n_sweeps < 1:
+        raise ValueError(f"n_sweeps must be >= 1, got {n_sweeps}")
     state = state.copy()
-    ts = _transfer_set(state)
     reports = []
     prev_energy = np.inf
     prev_spec = None
     for sweep in range(n_sweeps):
-        e_sweep = None
-        for site in range(state.n_sites):
-            e_sweep = optimize_site(state, site, j_coupling, transfer_set=ts)
+        for site, env in _sweep_envs(state):
+            e_sweep = optimize_site(state, site, j_coupling, env)
         spec_change = None
         if track_spectrum:
             lam = np.sort(np.linalg.eigvalsh(correlation_matrix(state)))[::-1] ** 2
@@ -238,18 +240,12 @@ def mps_correlator_zz(state, i, j):
     n = state.n_sites
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"site index out of range for n_sites={n}")
-    num = None
-    den = None
+    num = den = np.eye(state.chi**2)
     for site, a in enumerate(state.tensors):
-        t = _transfer(a)
-        if i == j == site:
-            m = 0.25 * t  # (Sz)^2 = identity/4
-        elif site in (i, j):
-            m = _transfer(a, _SZ)
-        else:
-            m = t
-        num = m if num is None else num @ m
-        den = t if den is None else den @ t
+        t, tz = _transfers(a)[:2]
+        # (Sz)^2 = identity/4
+        num = num @ (0.25 * t if i == j == site else tz if site in (i, j) else t)
+        den = den @ t
     n2 = float(np.trace(den))
     if abs(n2) < 1e-300:
         raise ConditioningError("state norm vanishes")
@@ -257,28 +253,32 @@ def mps_correlator_zz(state, i, j):
 
 
 def correlation_matrix(state):
-    """All <Sz_i Sz_j> entries, using prefix/suffix transfer products."""
-    n = state.n_sites
-    e = [_transfer(a) for a in state.tensors]
-    ez = [_transfer(a, _SZ) for a in state.tensors]
+    """All <Sz_i Sz_j> entries, using prefix products and closing factors.
 
-    suffix = [None] * (n + 1)
-    suffix[n] = np.eye(e[0].shape[0])
+    Entry (i < j) is tr(X Y)/<psi|psi>, X = E_0..Ez_i..E_{j-1} and Y = Ez_j
+    E_{j+1}..E_{N-1}; Y^T is precomputed per j and tr(X Y) = sum(X * Y^T).
+    """
+    n, d2 = state.n_sites, state.chi**2
+    e, ez = np.empty((2, n, d2, d2))
+    for m, a in enumerate(state.tensors):
+        e[m], ez[m] = _transfers(a)[:2]
+
+    closing = [None] * n
+    suffix = np.eye(d2)
     for m in range(n - 1, -1, -1):
-        suffix[m] = e[m] @ suffix[m + 1]
-    n2 = float(np.trace(suffix[0]))
+        closing[m] = np.ascontiguousarray((ez[m] @ suffix).T)
+        suffix = e[m] @ suffix
+    n2 = float(np.trace(suffix))
     if abs(n2) < 1e-300:
         raise ConditioningError("state norm vanishes")
 
     out = np.empty((n, n))
-    prefix = np.eye(e[0].shape[0])
+    prefix = np.eye(d2)
     for i in range(n):
         out[i, i] = 0.25
         left = prefix @ ez[i]
         for j in range(i + 1, n):
-            val = float(np.trace(left @ ez[j] @ suffix[j + 1])) / n2
-            out[i, j] = val
-            out[j, i] = val
+            out[i, j] = out[j, i] = float(np.vdot(left, closing[j])) / n2
             left = left @ e[j]
         prefix = prefix @ e[i]
     return out

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from spinsvd import cli, four_site
+from spinsvd import cli, four_site, mps
+from spinsvd.errors import ConditioningError, DegenerateGroundStateError
 
 
 def run(argv):
@@ -33,6 +34,30 @@ def test_solve_rejects_odd_n(tmp_path, capsys):
 def test_solve_rejects_oversized_ed(tmp_path, capsys):
     assert run(["solve", "--method", "ed", "--n", "22", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--sweeps", "--chi"])
+def test_solve_rejects_nonpositive_counts(tmp_path, capsys, flag):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--method", "mps", "--n", "4", flag, "0", "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc", [ConditioningError, DegenerateGroundStateError, np.linalg.LinAlgError]
+)
+def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc("Gram matrix below cutoff")
+
+    monkeypatch.setattr(mps, "sweep_optimize", fail)
+    argv = ["solve", "--method", "mps", "--n", "4", "--chi", "2", "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: Gram matrix below cutoff\n"
 
 
 def test_corr_from_ed_state_matches_four_site(tmp_path):
@@ -95,6 +120,18 @@ def test_analyze_four_site(tmp_path):
     assert np.max(np.abs(comp1 - np.array(four_site.COMPONENT_1))) < 1e-10
     assert (out / "haar.csv").exists()
     assert (out / "domains.csv").exists()
+
+
+@pytest.mark.parametrize("components", ["99", "0", "1,5"])
+def test_analyze_rejects_out_of_range_components(tmp_path, capsys, components):
+    mat_path = tmp_path / "m.csv"
+    cli.write_matrix_csv(mat_path, four_site.reference_correlation_matrix().entries)
+    out = tmp_path / "an"
+    argv = ["analyze", "--matrix", str(mat_path), "--components", components]
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --components must lie in 1..4") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_analyze_missing_matrix(tmp_path, capsys):
