@@ -57,10 +57,10 @@ class _Block:
     right: np.ndarray
 
 
-def _transfers(a):
-    """Stacked sum_{s',s} O[s',s] kron(A^{s'}, A^s) for O = I, Sz, S+, S-."""
-    oa = np.einsum("ots,tab->osab", _OPS, a)
-    return np.einsum("osab,scd->oacbd", oa, a).reshape(4, a[0].size, a[0].size)
+def _transfers(a, ops=_OPS):
+    """Stacked sum_{s',s} O[s',s] kron(A^{s'}, A^s) for O in ops (I, Sz, S+, S-)."""
+    oa = np.einsum("ots,tab->osab", ops, a)
+    return np.einsum("osab,scd->oacbd", oa, a).reshape(len(ops), a[0].size, a[0].size)
 
 
 def _site_block(a):
@@ -127,8 +127,7 @@ def _site_matrices(env, chi, j_coupling):
 
 def _gram(x, nenv):
     """x . (I_2 (x) nenv) . x for a site vector x."""
-    xs = x.reshape(2, -1)
-    return float(np.vdot(xs @ nenv, xs))
+    return float(np.vdot(x.reshape(2, -1) @ nenv, x.reshape(2, -1)))
 
 
 def random_init(n_sites, chi, seed=0):
@@ -148,7 +147,8 @@ def random_init(n_sites, chi, seed=0):
 
 def norm_squared(state):
     """<psi|psi> = tr of the ring product of plain transfer matrices."""
-    return float(np.trace(reduce(np.matmul, [_transfers(a)[0] for a in state.tensors])))
+    plain = [_transfers(a, _OPS[:1])[0] for a in state.tensors]
+    return float(np.trace(reduce(np.matmul, plain)))
 
 
 def energy(state, j_coupling=1.0):
@@ -242,7 +242,7 @@ def mps_correlator_zz(state, i, j):
         raise IndexError(f"site index out of range for n_sites={n}")
     num = den = np.eye(state.chi**2)
     for site, a in enumerate(state.tensors):
-        t, tz = _transfers(a)[:2]
+        t, tz = _transfers(a, _OPS[:2])
         # (Sz)^2 = identity/4
         num = num @ (0.25 * t if i == j == site else tz if site in (i, j) else t)
         den = den @ t
@@ -261,7 +261,7 @@ def correlation_matrix(state):
     n, d2 = state.n_sites, state.chi**2
     e, ez = np.empty((2, n, d2, d2))
     for m, a in enumerate(state.tensors):
-        e[m], ez[m] = _transfers(a)[:2]
+        e[m], ez[m] = _transfers(a, _OPS[:2])
 
     closing = [None] * n
     suffix = np.eye(d2)
