@@ -2,20 +2,18 @@
 
 Configurations are stored as integers: bit i set means spin up at site i.
 The Hamiltonian is the isotropic antiferromagnetic exchange on a periodic
-chain, applied matrix-free through precomputed per-bond flip tables.
+chain. Each basis builds its J = 1 operator on first use and keeps it: the
+diagonal S^z S^z energies plus a sparse matrix of the spin-flip hops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidSizeError
-
-ED_SITE_CAP = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +43,40 @@ class SectorBasis:
         shifts = np.arange(self.n_sites, dtype=np.int64)
         bits = (self.configs[:, None] >> shifts[None, :]) & 1
         return bits.astype(np.float64) - 0.5
+
+    @cached_property
+    def hamiltonian(self):
+        """(diagonal, hopping) of the J = 1 Hamiltonian on this basis.
+
+        diagonal holds sum_i Sz_i Sz_{i+1} per configuration; hopping is the
+        symmetric CSR matrix of the (S+_i S-_{i+1} + h.c.)/2 terms. A hop that
+        leaves the configuration list is dropped, so on a partial list this
+        is the Hamiltonian projected onto its span. Built on first use.
+        """
+        from scipy import sparse  # slow to import; commands without ED skip it
+
+        n, dim, configs = self.n_sites, self.dim, self.configs
+        # bit i of d is set where the spins on bond (i, i+1 mod n) differ
+        d = configs ^ ((configs >> 1) | ((configs & 1) << (n - 1)))
+        n_anti = np.zeros(dim, dtype=np.int64)
+        hops = np.full((n, dim), -1, dtype=np.int32)  # [bond, source] -> target
+        for i in range(n):
+            anti = (d >> i) & 1
+            n_anti += anti
+            src = np.flatnonzero(anti)
+            flipped = configs[src] ^ ((1 << i) | (1 << (i + 1) % n))
+            tgt = np.searchsorted(configs, flipped)
+            inside = configs.take(tgt, mode="clip") == flipped
+            hops[i, src[inside]] = tgt[inside]
+        diagonal = 0.25 * (n - 2 * n_anti)  # +-1/4 per bond, exact
+        hops = hops.T  # CSR rows: one per source configuration
+        kept = hops >= 0
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+        hopping = sparse.csr_array(
+            (np.full(indptr[-1], 0.5), hops[kept], indptr), shape=(dim, dim)
+        )
+        return diagonal, hopping
 
 
 @dataclass(eq=False)
@@ -76,12 +108,17 @@ def enumerate_sector(n_sites, sz_total=0):
     if abs(n_up_f - n_up) > 1e-12 or n_up < 0 or n_up > n_sites:
         configs = np.empty(0, dtype=np.int64)
     else:
-        configs = np.fromiter(
-            (sum(1 << p for p in combo) for combo in combinations(range(n_sites), n_up)),
-            dtype=np.int64,
-            count=comb(n_sites, n_up),
-        )
-        configs.sort()
+        # grow sorted configurations site by site, keeping only the up-counts
+        # k that can still reach n_up: c(m+1, k) = c(m, k) then c(m, k-1) | 1<<m
+        empty = np.empty(0, dtype=np.int64)
+        c = {0: np.zeros(1, dtype=np.int64)}
+        for m in range(n_sites):
+            bit = np.int64(1 << m)
+            c = {
+                k: np.concatenate([c.get(k, empty), c.get(k - 1, empty) | bit])
+                for k in range(max(0, n_up - (n_sites - m - 1)), min(m + 1, n_up) + 1)
+            }
+        configs = c[n_up]
     return SectorBasis(n_sites, sz_total, configs)
 
 
@@ -90,53 +127,19 @@ def neel_config(n_sites):
     return sum(1 << i for i in range(0, n_sites, 2))
 
 
-class _BondTables:
-    """Per-bond diagonal energies and spin-flip index maps for one sector."""
-
-    def __init__(self, basis):
-        n = basis.n_sites
-        z = basis.z_values()
-        bonds = [(i, (i + 1) % n) for i in range(n)]
-        self.diagonal = np.zeros(basis.dim)
-        self.flips = []  # (source indices, target indices) per bond
-        for i, j in bonds:
-            self.diagonal += z[:, i] * z[:, j]
-            mask = (1 << i) | (1 << j)
-            anti = (z[:, i] * z[:, j]) < 0  # bits differ on the bond
-            src = np.nonzero(anti)[0]
-            flipped = basis.configs[src] ^ mask
-            tgt = np.searchsorted(basis.configs, flipped)
-            self.flips.append((src, tgt))
-
-
-_tables_cache = {}
-
-
-def _tables(basis):
-    key = (basis.n_sites, basis.sz_total)
-    if key not in _tables_cache:
-        _tables_cache[key] = _BondTables(basis)
-    return _tables_cache[key]
-
-
 def apply_hamiltonian(wf, j_coupling=1.0):
     """H|wf> for H = J sum_i [Sz_i Sz_{i+1} + (S+_i S-_{i+1} + h.c.)/2].
 
     The result is unnormalized and stays in the same S_z sector.
     """
-    tab = _tables(wf.basis)
-    out = tab.diagonal * wf.amps
-    for src, tgt in tab.flips:
-        out[tgt] += 0.5 * wf.amps[src]
-    return Wavefunction(wf.basis, j_coupling * out)
+    return Wavefunction(wf.basis, apply_hamiltonian_to_array(wf.basis, wf.amps, j_coupling))
 
 
 def apply_hamiltonian_to_array(basis, amps, j_coupling=1.0):
     """Array-in array-out version of apply_hamiltonian (hot path helper)."""
-    tab = _tables(basis)
-    out = tab.diagonal * amps
-    for src, tgt in tab.flips:
-        out[tgt] += 0.5 * amps[src]
+    diagonal, hopping = basis.hamiltonian
+    out = hopping @ amps
+    out += diagonal * amps
     if j_coupling != 1.0:
         out *= j_coupling
     return out
@@ -144,11 +147,8 @@ def apply_hamiltonian_to_array(basis, amps, j_coupling=1.0):
 
 def dense_hamiltonian(basis, j_coupling=1.0):
     """Dense sector Hamiltonian matrix (small sectors only)."""
-    tab = _tables(basis)
-    h = np.diag(tab.diagonal)
-    for src, tgt in tab.flips:
-        h[tgt, src] += 0.5
-    return j_coupling * h
+    diagonal, hopping = basis.hamiltonian
+    return j_coupling * (hopping.toarray() + np.diag(diagonal))
 
 
 def correlator_zz(wf, i, j):

@@ -2,7 +2,9 @@
 
 All numeric file outputs are deterministic: CSVs carry 17 significant
 digits, manifests are JSON with sorted keys, heatmaps are binary PGM.
-Exit codes: 0 success, 1 usage/input error, 2 numerical failure.
+Exit codes: 0 success, 1 usage/input error, 2 numerical failure. A command
+creates --out only once it has a result to write, so a rejected or failed
+command leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ def read_matrix_csv(path):
     m = np.array(rows)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix in {path} is not square: shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"matrix in {path} has non-finite entries")
     return m
 
 
@@ -87,8 +91,6 @@ def load_state(path):
 
 
 def _cmd_solve(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.n % 2 != 0 or args.n < 4:
         raise InvalidSizeError(f"--n must be even and >= 4, got {args.n}")
 
@@ -126,6 +128,8 @@ def _cmd_solve(args):
         energy_val = reports[-1].energy
         extra = {"final_energy_change": reports[-1].energy_change}
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     state_path = out / "state.json"
     save_state(state_path, state)
     write_manifest(
@@ -160,8 +164,6 @@ def _state_to_correlation(payload):
 
 
 def _cmd_corr(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.beta is not None:
         if args.n is None:
             raise ValueError("thermal mode needs --n")
@@ -184,6 +186,8 @@ def _cmd_corr(args):
         "sum_sqrt_lambda": float(np.sum(spec.values)),
         "n_over_4": cm.n_sites / 4,
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     matrix_path = out / "matrix.csv"
     pgm_path = out / "matrix.pgm"
     write_matrix_csv(matrix_path, cm.entries)
@@ -208,10 +212,10 @@ def _cmd_analyze(args):
     bad = [n for n in args.components or [] if not 1 <= n <= matrix.shape[0]]
     if bad:
         raise ValueError(f"--components must lie in 1..{matrix.shape[0]}, got {bad}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     matrix = np.triu(matrix) + np.triu(matrix, 1).T  # exact symmetry for eigh
     spec = svd_analysis.eigendecompose(matrix)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     n_sites = spec.n
     artifacts = []
 

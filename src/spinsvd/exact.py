@@ -88,24 +88,21 @@ def lanczos_ground_state(basis, j_coupling=1.0, tol=1e-12, max_iter=300, seed=0)
         return GroundSolution(e, wf, 0.0, 0)
 
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    m_max = min(max_iter, dim)
+    vecs = np.empty((m_max, dim))  # Krylov rows; only the ones used are touched
+    vecs[0] = rng.standard_normal(dim)
+    vecs[0] /= np.linalg.norm(vecs[0])
 
-    vecs = [v]
     alphas, betas = [], []
     prev_theta = np.inf
-    theta = np.inf
-    ritz = None
 
-    m_max = min(max_iter, dim)
     for it in range(m_max):
-        w = apply_hamiltonian_to_array(basis, vecs[-1], j_coupling)
-        alpha = float(vecs[-1] @ w)
-        alphas.append(alpha)
+        kept = vecs[: it + 1]
+        w = apply_hamiltonian_to_array(basis, vecs[it], j_coupling)
+        alphas.append(float(vecs[it] @ w))
         # full re-orthogonalization against all kept vectors, twice
-        basis_mat = np.column_stack(vecs)
-        w -= basis_mat @ (basis_mat.T @ w)
-        w -= basis_mat @ (basis_mat.T @ w)
+        w -= kept.T @ (kept @ w)
+        w -= kept.T @ (kept @ w)
         beta = float(np.linalg.norm(w))
 
         tri = np.diag(alphas)
@@ -114,28 +111,32 @@ def lanczos_ground_state(basis, j_coupling=1.0, tol=1e-12, max_iter=300, seed=0)
             tri += np.diag(off, 1) + np.diag(off, -1)
         thetas, y = np.linalg.eigh(tri)
         theta = float(thetas[0])
-        ritz = basis_mat @ y[:, 0]
 
         converged = it > 0 and abs(theta - prev_theta) < tol
         if converged:
             # energy settles long before the eigenvector; drive the
             # residual well below the 1e-10 acceptance bound so that
             # downstream correlators hold their 1e-12 invariants
+            ritz = y[:, 0] @ kept
             resid = np.linalg.norm(
                 apply_hamiltonian_to_array(basis, ritz, j_coupling) - theta * ritz
             )
             converged = resid <= 1e-12 * max(1.0, abs(theta))
-        exhausted = beta < 1e-14 or len(vecs) == dim
+        exhausted = beta < 1e-14 or it + 1 == dim
         if converged or exhausted:
             if len(thetas) >= 2 and thetas[1] - thetas[0] <= 1e-8:
                 raise DegenerateGroundStateError(
                     f"Ritz gap {thetas[1] - thetas[0]:.3e} <= 1e-8 at iteration {it}"
                 )
+            if not converged:
+                ritz = y[:, 0] @ kept
             break
         prev_theta = theta
         betas.append(beta)
-        vecs.append(w / beta)
+        if it + 1 < m_max:
+            vecs[it + 1] = w / beta
     else:
+        ritz = y[:, 0] @ vecs
         resid = np.linalg.norm(
             apply_hamiltonian_to_array(basis, ritz, j_coupling) - theta * ritz
         )

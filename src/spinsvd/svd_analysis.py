@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 
 @dataclass(eq=False)
@@ -177,6 +176,8 @@ def kernel_reconstruct(n_sites, separations):
     for each separation r, fits the log-log slope, and checks the quadrature
     of int_0^inf e^{-x} x^{-1/2} dx against sqrt(pi).
     """
+    from scipy.integrate import quad  # slow to import, and no CLI command needs it
+
     if n_sites < 64:
         raise ValueError(f"kernel reconstruction needs n_sites >= 64, got {n_sites}")
     rs = np.array([r for r in separations if r > 0], dtype=float)

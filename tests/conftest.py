@@ -1,6 +1,14 @@
 """Shared fixtures; the expensive MPS runs are session-scoped."""
 
-import numpy as np
+import os
+
+# One BLAS thread, set before numpy is first imported: the N = 64, 40-sweep
+# MPS trajectory, and so the criterion-5 values the gate prints, depend on
+# the thread count. A value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from spinsvd import basis as basis_mod
@@ -16,7 +24,7 @@ _I2 = np.eye(2)
 def kron_hamiltonian(n_sites, j_coupling=1.0):
     """Full 2^N x 2^N ring Hamiltonian built from explicit kron products.
 
-    Independent oracle: shares nothing with the bit-table implementation.
+    Independent oracle: shares nothing with the sector-basis implementation.
     Site i acts on the i-th kron factor counted from the right, matching
     the bit i = site i convention.
     """

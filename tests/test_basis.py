@@ -1,16 +1,27 @@
 """Sector enumeration, Hamiltonian action, and zz correlators."""
 
+from functools import cache
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import kron_hamiltonian
 from spinsvd.basis import (
+    SectorBasis,
     Wavefunction,
     apply_hamiltonian,
+    apply_hamiltonian_to_array,
     correlator_zz,
+    dense_hamiltonian,
     enumerate_sector,
     neel_config,
 )
 from spinsvd.errors import InvalidSizeError
+
+kron_oracle = cache(kron_hamiltonian)
 
 
 def unit_wf(basis, k):
@@ -34,6 +45,18 @@ def test_sector_sorted_and_invertible():
         assert b.index_of(int(cfg)) == k
     with pytest.raises(KeyError):
         b.index_of(0)
+
+
+@pytest.mark.parametrize("n", range(4, 15, 2))
+def test_sector_matches_itertools(n):
+    for sz in [x / 2 for x in range(-n - 3, n + 4)]:  # half-integers are unattainable
+        configs = enumerate_sector(n, sz).configs
+        n_up = n / 2 + sz
+        expected = []
+        if n_up == int(n_up) and 0 <= n_up <= n:
+            expected = sorted(sum(1 << p for p in c) for c in combinations(range(n), int(n_up)))
+        assert configs.dtype == np.int64
+        assert configs.tolist() == expected
 
 
 @pytest.mark.parametrize("n", [3, 5, 2, 0])
@@ -88,6 +111,35 @@ def test_sector_closure():
         support = b.configs[np.abs(out) > 0]
         pops = [bin(int(c)).count("1") for c in support]
         assert all(p == pops[0] for p in pops)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8, 10]),
+    j_coupling=st.floats(-3.0, 3.0, allow_nan=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sector_operator_is_kron_oracle_restricted(n, j_coupling, seed):
+    full = kron_oracle(n)
+    rng = np.random.default_rng(seed)
+    for sz in range(-n // 2, n // 2 + 1):
+        b = enumerate_sector(n, sz)
+        h = dense_hamiltonian(b, j_coupling)
+        assert np.array_equal(h, j_coupling * full[np.ix_(b.configs, b.configs)])
+        assert np.array_equal(h, h.T)
+        outside = np.setdiff1d(np.arange(2**n), b.configs)
+        assert not full[np.ix_(outside, b.configs)].any()  # H keeps the sector
+        x = rng.standard_normal(b.dim)
+        assert np.max(np.abs(apply_hamiltonian_to_array(b, x, j_coupling) - h @ x)) < 1e-12
+
+
+def test_operator_belongs_to_its_basis():
+    # same (n_sites, sz_total) label, other configurations: each basis gets
+    # its own operator, the Hamiltonian projected onto its configurations
+    full = enumerate_sector(8, 0)
+    half = SectorBasis(8, 0, full.configs[::2].copy())
+    for b in (full, half):
+        assert np.array_equal(dense_hamiltonian(b), kron_oracle(8)[np.ix_(b.configs, b.configs)])
 
 
 def _cyclic_shift(basis, amps):

@@ -26,14 +26,21 @@ def test_solve_ed_n4(tmp_path):
     assert manifest["energy"] == pytest.approx(-2.0, abs=1e-10)
 
 
+def assert_rejected(argv, out, capsys):
+    """Exit 1, one error line on stderr, and no --out directory left behind."""
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
 def test_solve_rejects_odd_n(tmp_path, capsys):
-    assert run(["solve", "--method", "ed", "--n", "5", "--out", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert_rejected(["solve", "--method", "ed", "--n", "5"], tmp_path / "run", capsys)
 
 
 def test_solve_rejects_oversized_ed(tmp_path, capsys):
-    assert run(["solve", "--method", "ed", "--n", "22", "--out", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert_rejected(["solve", "--method", "ed", "--n", "22"], tmp_path / "run", capsys)
 
 
 @pytest.mark.parametrize("flag", ["--sweeps", "--chi"])
@@ -83,13 +90,11 @@ def test_corr_thermal_beta0(tmp_path):
 
 
 def test_corr_thermal_needs_n(tmp_path, capsys):
-    assert run(["corr", "--beta", "1.0", "--out", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert_rejected(["corr", "--beta", "1.0"], tmp_path / "th", capsys)
 
 
 def test_corr_without_inputs(tmp_path, capsys):
-    assert run(["corr", "--out", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert_rejected(["corr"], tmp_path / "corr", capsys)
 
 
 def test_analyze_four_site(tmp_path):
@@ -126,27 +131,27 @@ def test_analyze_four_site(tmp_path):
 def test_analyze_rejects_out_of_range_components(tmp_path, capsys, components):
     mat_path = tmp_path / "m.csv"
     cli.write_matrix_csv(mat_path, four_site.reference_correlation_matrix().entries)
-    out = tmp_path / "an"
     argv = ["analyze", "--matrix", str(mat_path), "--components", components]
-    assert run(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --components must lie in 1..4") and err.count("\n") == 1
-    assert not out.exists()
+    err = assert_rejected(argv, tmp_path / "an", capsys)
+    assert err.startswith("error: --components must lie in 1..4")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_analyze_rejects_non_finite(tmp_path, capsys, bad):
+    mat_path = tmp_path / "m.csv"
+    mat_path.write_text(f"0.25,{bad}\n{bad},0.25\n")
+    err = assert_rejected(["analyze", "--matrix", str(mat_path)], tmp_path / "an", capsys)
+    assert "non-finite" in err
 
 
 def test_analyze_missing_matrix(tmp_path, capsys):
-    assert (
-        run(["analyze", "--matrix", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
-        == 1
-    )
-    assert "error:" in capsys.readouterr().err
+    assert_rejected(["analyze", "--matrix", str(tmp_path / "nope.csv")], tmp_path / "an", capsys)
 
 
 def test_analyze_rejects_nonsquare(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2,3\n4,5,6\n")
-    assert run(["analyze", "--matrix", str(bad), "--out", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert_rejected(["analyze", "--matrix", str(bad)], tmp_path / "an", capsys)
 
 
 def test_oracle4_stdout(capsys):

@@ -44,6 +44,16 @@ def test_lanczos_n12_vs_dense_sector(ground_n12):
     assert ground_n12.residual_norm <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lanczos_n12_seeds_match_dense_sector(seed):
+    b = enumerate_sector(12, 0)
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(b))
+    sol = lanczos_ground_state(b, seed=seed)
+    assert abs(sol.energy - energies[0]) < 1e-12
+    dense_gs = vectors[:, 0] * np.sign(vectors[:, 0] @ sol.wf.amps)
+    assert np.max(np.abs(sol.wf.amps - dense_gs)) < 1e-12
+
+
 def test_lanczos_deterministic():
     b = enumerate_sector(8, 0)
     a = lanczos_ground_state(b, seed=5)
