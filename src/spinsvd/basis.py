@@ -2,8 +2,10 @@
 
 Configurations are stored as integers: bit i set means spin up at site i.
 The Hamiltonian is the isotropic antiferromagnetic exchange on a periodic
-chain. Each basis builds its J = 1 operator on first use and keeps it: the
-diagonal S^z S^z energies plus a sparse matrix of the spin-flip hops.
+chain. Each basis builds its J = 1 operator on first use and keeps it as
+plain numpy arrays: the diagonal S^z S^z energies plus the CSR pattern of
+the spin-flip hops. The dense matrix is scattered from those arrays; the
+scipy.sparse matrix the matvec uses wraps them on first use.
 """
 
 from __future__ import annotations
@@ -46,15 +48,14 @@ class SectorBasis:
 
     @cached_property
     def hamiltonian(self):
-        """(diagonal, hopping) of the J = 1 Hamiltonian on this basis.
+        """(diagonal, indptr, indices) of the J = 1 Hamiltonian on this basis.
 
-        diagonal holds sum_i Sz_i Sz_{i+1} per configuration; hopping is the
-        symmetric CSR matrix of the (S+_i S-_{i+1} + h.c.)/2 terms. A hop that
-        leaves the configuration list is dropped, so on a partial list this
-        is the Hamiltonian projected onto its span. Built on first use.
+        diagonal holds sum_i Sz_i Sz_{i+1} per configuration; indptr and
+        indices are the CSR pattern of the (S+_i S-_{i+1} + h.c.)/2 hops, each
+        of amplitude 1/2, one row per source configuration. A hop that leaves
+        the configuration list is dropped, so on a partial list this is the
+        Hamiltonian projected onto its span. Built on first use.
         """
-        from scipy import sparse  # slow to import; commands without ED skip it
-
         n, dim, configs = self.n_sites, self.dim, self.configs
         # bit i of d is set where the spins on bond (i, i+1 mod n) differ
         d = configs ^ ((configs >> 1) | ((configs & 1) << (n - 1)))
@@ -73,10 +74,16 @@ class SectorBasis:
         kept = hops >= 0
         indptr = np.zeros(dim + 1, dtype=np.int32)
         np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
-        hopping = sparse.csr_array(
-            (np.full(indptr[-1], 0.5), hops[kept], indptr), shape=(dim, dim)
-        )
-        return diagonal, hopping
+        return diagonal, indptr, hops[kept]
+
+    @cached_property
+    def hopping(self):
+        """The hops as a scipy.sparse CSR array over the `hamiltonian` arrays."""
+        from scipy import sparse  # slow to import; only the matvec needs it
+
+        _, indptr, indices = self.hamiltonian
+        data = np.full(len(indices), 0.5)
+        return sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
 
 
 @dataclass(eq=False)
@@ -96,13 +103,18 @@ class Wavefunction:
         return Wavefunction(self.basis, self.amps / n)
 
 
+def check_ring_size(n_sites):
+    """Raise InvalidSizeError unless n_sites is an even ring length >= 4."""
+    if n_sites % 2 != 0 or n_sites < 4:
+        raise InvalidSizeError(f"n_sites must be even and >= 4, got {n_sites}")
+
+
 def enumerate_sector(n_sites, sz_total=0):
     """Enumerate all configurations with popcount = n_sites/2 + sz_total.
 
     Returns an empty basis when sz_total is unattainable.
     """
-    if n_sites % 2 != 0 or n_sites < 4:
-        raise InvalidSizeError(f"n_sites must be even and >= 4, got {n_sites}")
+    check_ring_size(n_sites)
     n_up_f = n_sites / 2 + sz_total
     n_up = int(round(n_up_f))
     if abs(n_up_f - n_up) > 1e-12 or n_up < 0 or n_up > n_sites:
@@ -137,9 +149,8 @@ def apply_hamiltonian(wf, j_coupling=1.0):
 
 def apply_hamiltonian_to_array(basis, amps, j_coupling=1.0):
     """Array-in array-out version of apply_hamiltonian (hot path helper)."""
-    diagonal, hopping = basis.hamiltonian
-    out = hopping @ amps
-    out += diagonal * amps
+    out = basis.hopping @ amps
+    out += basis.hamiltonian[0] * amps
     if j_coupling != 1.0:
         out *= j_coupling
     return out
@@ -147,8 +158,10 @@ def apply_hamiltonian_to_array(basis, amps, j_coupling=1.0):
 
 def dense_hamiltonian(basis, j_coupling=1.0):
     """Dense sector Hamiltonian matrix (small sectors only)."""
-    diagonal, hopping = basis.hamiltonian
-    return j_coupling * (hopping.toarray() + np.diag(diagonal))
+    diagonal, indptr, indices = basis.hamiltonian
+    h = np.diag(diagonal)
+    h[np.repeat(np.arange(basis.dim), np.diff(indptr)), indices] = 0.5
+    return j_coupling * h
 
 
 def correlator_zz(wf, i, j):

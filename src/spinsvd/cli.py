@@ -212,7 +212,7 @@ def _cmd_analyze(args):
     bad = [n for n in args.components or [] if not 1 <= n <= matrix.shape[0]]
     if bad:
         raise ValueError(f"--components must lie in 1..{matrix.shape[0]}, got {bad}")
-    matrix = np.triu(matrix) + np.triu(matrix, 1).T  # exact symmetry for eigh
+    matrix = corr_mod._mirror(matrix)  # exact symmetry for eigh
     spec = svd_analysis.eigendecompose(matrix)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,11 +314,29 @@ def _positive_int(text):
     return value
 
 
+def _finite_float(text, allowed, requirement):
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and allowed(value)):
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+    return value
+
+
+def _beta(text):
+    return _finite_float(text, lambda v: v >= 0, "a finite number >= 0")
+
+
+def _coupling(text):
+    return _finite_float(text, lambda v: v != 0, "a finite nonzero number")
+
+
 class _Parser(argparse.ArgumentParser):
-    """Usage errors print one line and exit 1; exit 2 is kept for numerics."""
+    """Usage errors print one error: line and exit 1; exit 2 is kept for numerics."""
 
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"error: {self.prog}: {message}\n")
 
 
 def build_parser():
@@ -334,15 +352,15 @@ def build_parser():
     p_solve.add_argument("--chi", type=_positive_int, default=10)
     p_solve.add_argument("--sweeps", type=_positive_int, default=40)
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--j", type=float, default=1.0)
+    p_solve.add_argument("--j", type=_coupling, default=1.0)
     p_solve.add_argument("--out", required=True)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_corr = sub.add_parser("corr", help="build the correlation matrix")
     p_corr.add_argument("--state", help="checkpoint from solve")
-    p_corr.add_argument("--beta", type=float, help="thermal mode (needs --n)")
+    p_corr.add_argument("--beta", type=_beta, help="thermal mode (needs --n)")
     p_corr.add_argument("--n", type=int, help="chain length for thermal mode")
-    p_corr.add_argument("--j", type=float, default=1.0)
+    p_corr.add_argument("--j", type=_coupling, default=1.0)
     p_corr.add_argument("--out", required=True)
     p_corr.set_defaults(func=_cmd_corr)
 

@@ -10,6 +10,7 @@ from .basis import (
     SectorBasis,
     Wavefunction,
     apply_hamiltonian_to_array,
+    check_ring_size,
     dense_hamiltonian,
     enumerate_sector,
     neel_config,
@@ -156,17 +157,47 @@ def lanczos_ground_state(basis, j_coupling=1.0, tol=1e-12, max_iter=300, seed=0)
     return GroundSolution(theta, Wavefunction(basis, ritz), residual, it + 1)
 
 
+def _eigh_by_flip_parity(h):
+    """eigh of the S_z = 0 sector matrix h through its spin-flip parity blocks.
+
+    The bit complement maps configuration i of the sorted sector onto
+    configuration dim-1-i and leaves H unchanged, so with m = dim/2,
+    A = h[:m, :m] and B = h[:m, m:], the flip-even and flip-odd states
+    [u; +-u[::-1]]/sqrt(2) diagonalize A +- B[:, ::-1]. Eigenpairs come back
+    merged in ascending (stable) order.
+    """
+    m = len(h) // 2
+    a, b_rev = h[:m, :m], h[:m, m:][:, ::-1]
+    (e_even, u_even), (e_odd, u_odd) = np.linalg.eigh(a + b_rev), np.linalg.eigh(a - b_rev)
+    energies = np.concatenate([e_even, e_odd])
+    vectors = np.sqrt(0.5) * np.block([[u_even, u_odd], [u_even[::-1], -u_odd[::-1]]])
+    order = np.argsort(energies, kind="stable")
+    return energies[order], vectors[:, order]
+
+
 def full_spectrum(n_sites, j_coupling=1.0):
-    """Dense diagonalization of every S_z sector (n_sites <= 12)."""
+    """Every S_z sector's eigenpairs (n_sites <= 12), using the spin flip.
+
+    The flip maps the sorted -S_z configuration list onto the S_z list in
+    reversed order with the same matrix elements, so sector S_z > 0 reuses
+    the energies of -S_z and its eigenvectors with rows reversed. Only the
+    S_z < 0 sectors and the two parity blocks of S_z = 0 are diagonalized.
+    """
+    check_ring_size(n_sites)
     if n_sites > FULL_SPECTRUM_CAP:
         raise InvalidSizeError(
             f"full spectrum capped at {FULL_SPECTRUM_CAP} sites, got {n_sites}"
         )
+    half = n_sites // 2
     sectors = []
-    for n_up in range(n_sites + 1):
-        sz = n_up - n_sites // 2
+    for sz in range(-half, half + 1):
         b = enumerate_sector(n_sites, sz)
-        h = dense_hamiltonian(b, j_coupling)
-        energies, vectors = np.linalg.eigh(h)
+        if sz < 0:
+            energies, vectors = np.linalg.eigh(dense_hamiltonian(b, j_coupling))
+        elif sz == 0:
+            energies, vectors = _eigh_by_flip_parity(dense_hamiltonian(b, j_coupling))
+        else:
+            mirror = sectors[half - sz]
+            energies, vectors = mirror.energies, mirror.vectors[::-1]
         sectors.append(SectorSpectrum(b, energies, vectors))
     return FullSpectrum(n_sites, j_coupling, sectors)

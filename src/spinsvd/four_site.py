@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import enumerate_sector
-from .corr import CorrelationMatrix
+from .basis import Wavefunction, enumerate_sector
+from .corr import CorrelationMatrix, build_from_wavefunction
 
 SQRT12 = np.sqrt(12.0)
 
@@ -112,14 +112,6 @@ def psi_split():
     return psi1, psi2
 
 
-def _unnormalized_corr(amps):
-    """(S_n)_ij = <psi_n| Sz_i Sz_j |psi_n> without normalizing psi_n."""
-    basis = enumerate_sector(4, 0)
-    z = basis.z_values()
-    weighted = z * (amps**2)[:, None]
-    return weighted.T @ z
-
-
 def oracle_decomposition_check(atol=1e-12):
     """Verify S_1 = S^(1) and S_2 = S^(2) + S^(3).
 
@@ -132,8 +124,9 @@ def oracle_decomposition_check(atol=1e-12):
     psi1, psi2 = psi_split()
     if abs(psi1 @ psi2) > atol:
         raise AssertionError("psi_1 and psi_2 are not orthogonal")
-    s1 = _unnormalized_corr(psi1)
-    s2 = _unnormalized_corr(psi2)
+    # (S_n)_ij = <psi_n| Sz_i Sz_j |psi_n>, psi_n left unnormalized
+    basis = enumerate_sector(4, 0)
+    s1, s2 = (build_from_wavefunction(Wavefunction(basis, psi)).entries for psi in (psi1, psi2))
     dev1 = float(np.max(np.abs(s1 - COMPONENT_1)))
     dev2 = float(np.max(np.abs(s2 - (COMPONENT_2 + COMPONENT_3))))
     if dev1 > atol or dev2 > atol:

@@ -6,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinsvd import cli, four_site, mps
 from spinsvd.errors import ConditioningError, DegenerateGroundStateError
@@ -28,7 +31,11 @@ def test_solve_ed_n4(tmp_path):
 
 def assert_rejected(argv, out, capsys):
     """Exit 1, one error line on stderr, and no --out directory left behind."""
-    assert run(argv + ["--out", str(out)]) == 1
+    try:
+        code = run(argv + ["--out", str(out)])
+    except SystemExit as exc:  # rejected while parsing the arguments
+        code = exc.code
+    assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
@@ -52,6 +59,28 @@ def test_solve_rejects_nonpositive_counts(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert "error:" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["corr", "--beta", "inf", "--n", "6"], "--beta"),
+        (["corr", "--beta", "nan", "--n", "6"], "--beta"),
+        (["corr", "--beta", "-1", "--n", "6"], "--beta"),
+        (["corr", "--beta", "1", "--n", "6", "--j", "0"], "--j"),
+        (["solve", "--method", "ed", "--n", "6", "--j", "0"], "--j"),
+        (["solve", "--method", "mps", "--n", "6", "--chi", "2", "--sweeps", "1", "--j", "nan"], "--j"),
+    ],
+    ids=["beta-inf", "beta-nan", "beta-negative", "corr-j-zero", "ed-j-zero", "mps-j-nan"],
+)
+def test_rejects_non_finite_or_zero_parameters(tmp_path, capsys, argv, flag):
+    err = assert_rejected(argv, tmp_path / "run", capsys)
+    assert f"argument {flag}:" in err
+
+
+def test_corr_thermal_rejects_invalid_size(tmp_path, capsys):
+    err = assert_rejected(["corr", "--beta", "1", "--n", "-4"], tmp_path / "th", capsys)
+    assert err == "error: n_sites must be even and >= 4, got -4\n"
 
 
 @pytest.mark.parametrize(
@@ -87,6 +116,18 @@ def test_corr_thermal_beta0(tmp_path):
     assert run(["corr", "--beta", "0", "--n", "8", "--out", str(out)]) == 0
     m = cli.read_matrix_csv(out / "matrix.csv")
     assert np.array_equal(m, 0.25 * np.eye(8))
+
+
+def test_corr_thermal_imports_no_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from spinsvd import cli\n"
+        f"assert cli.main(['corr', '--beta', '1', '--n', '8', '--out', {str(tmp_path / 'th')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"  # no scipy module loaded
 
 
 def test_corr_thermal_needs_n(tmp_path, capsys):
@@ -152,6 +193,21 @@ def test_analyze_rejects_nonsquare(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2,3\n4,5,6\n")
     assert_rejected(["analyze", "--matrix", str(bad)], tmp_path / "an", capsys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 6).map(lambda n: (n, n)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_matrix_csv_round_trip_is_exact(tmp_path_factory, square):
+    matrix = np.triu(square) + np.triu(square, 1).T
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    cli.write_matrix_csv(path, matrix)
+    assert cli.read_matrix_csv(path).tobytes() == matrix.tobytes()
 
 
 def test_oracle4_stdout(capsys):

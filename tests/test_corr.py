@@ -1,12 +1,18 @@
 """Correlation-matrix assembly: ground state, MPS, and thermal ensembles."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsvd import corr, four_site
 from spinsvd.basis import Wavefunction, enumerate_sector
 from spinsvd.exact import full_spectrum
 from spinsvd.svd_analysis import eigendecompose
+
+cached_spectrum = cache(full_spectrum)
 
 
 def test_exact_n4_matrix(ground_n4):
@@ -71,6 +77,14 @@ def test_thermal_top_eigenvalue_monotone(spectrum_n8):
 def test_thermal_psd(spectrum_n8):
     for beta in (0.0, 0.5, 2.0, 20.0):
         assert corr.build_thermal(spectrum_n8, beta).min_eigenvalue() >= -1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([4, 6, 8]), beta=st.floats(0.0, 50.0))
+def test_thermal_psd_with_quarter_diagonal(n, beta):
+    s = corr.build_thermal(cached_spectrum(n), beta).entries
+    assert np.linalg.eigvalsh(s)[0] >= -1e-12
+    assert np.max(np.abs(np.diag(s) - 0.25)) <= 1e-12
 
 
 def test_thermal_beta_continuity(spectrum_n8):

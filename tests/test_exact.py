@@ -5,8 +5,9 @@ import pytest
 
 from conftest import embed_in_full_space, kron_hamiltonian
 from spinsvd.basis import dense_hamiltonian, enumerate_sector
+from spinsvd.corr import build_thermal
 from spinsvd.errors import InvalidSizeError
-from spinsvd.exact import full_spectrum, lanczos_ground_state
+from spinsvd.exact import FullSpectrum, SectorSpectrum, full_spectrum, lanczos_ground_state
 
 
 def test_ground_energy_n4(ground_n4):
@@ -75,21 +76,59 @@ def test_full_spectrum_n4():
     assert spec.partition_function(0.0, shift=0.0) == pytest.approx(16.0, abs=1e-10)
 
 
-def test_full_spectrum_eigenpairs(spectrum_n8):
-    for sector in spectrum_n8.sectors:
-        h = dense_hamiltonian(sector.basis)
+def assert_sector_eigenpairs(spectrum):
+    """Each sector: eigenpairs of its dense matrix, orthonormal, ascending."""
+    for sector in spectrum.sectors:
+        h = dense_hamiltonian(sector.basis, spectrum.j_coupling)
         v = sector.vectors
         assert np.max(np.abs(h @ v - v * sector.energies)) < 1e-10
         gram = v.T @ v
         assert np.max(np.abs(gram - np.eye(len(sector.energies)))) < 1e-10
+        assert np.all(np.diff(sector.energies) >= 0)
 
 
-def test_spin_flip_symmetry(spectrum_n8):
-    by_sz = {s.basis.sz_total: s.energies for s in spectrum_n8.sectors}
+def test_full_spectrum_eigenpairs(spectrum_n8):
+    assert_sector_eigenpairs(spectrum_n8)
+
+
+@pytest.mark.parametrize("n,j_coupling", [(4, 1.0), (12, 1.0), (6, -0.7)])
+def test_full_spectrum_eigenpairs_other_sizes(n, j_coupling):
+    assert_sector_eigenpairs(full_spectrum(n, j_coupling))
+
+
+def test_spin_flip_symmetry():
+    # the flip maps sector S_z onto -S_z: equal spectra, each from its own matrix
     for sz in (1, 2, 3, 4):
-        assert np.max(np.abs(by_sz[sz] - by_sz[-sz])) < 1e-10
+        plus = np.linalg.eigvalsh(dense_hamiltonian(enumerate_sector(8, sz)))
+        minus = np.linalg.eigvalsh(dense_hamiltonian(enumerate_sector(8, -sz)))
+        assert np.max(np.abs(plus - minus)) < 1e-10
+
+
+def test_full_spectrum_n12_matches_per_sector_eigh():
+    # reference: plain eigh of every sector's dense matrix, no symmetry used
+    reference = FullSpectrum(
+        12,
+        1.0,
+        [
+            SectorSpectrum(b, *np.linalg.eigh(dense_hamiltonian(b)))
+            for b in (enumerate_sector(12, sz) for sz in range(-6, 7))
+        ],
+    )
+    spec = full_spectrum(12)
+    assert len(spec.energies) == 2**12
+    assert np.max(np.abs(spec.energies - reference.energies)) < 1e-12
+    for beta in (1.0, 3.0, 10.0, 100.0):
+        got = build_thermal(spec, beta).entries
+        assert np.max(np.abs(got - build_thermal(reference, beta).entries)) < 1e-13
+    assert np.array_equal(build_thermal(spec, 0.0).entries, 0.25 * np.eye(12))
 
 
 def test_full_spectrum_cap():
     with pytest.raises(InvalidSizeError):
         full_spectrum(14)
+
+
+@pytest.mark.parametrize("n", [-4, 0, 2, 5])
+def test_full_spectrum_rejects_invalid_size(n):
+    with pytest.raises(InvalidSizeError, match=f"n_sites must be even and >= 4, got {n}$"):
+        full_spectrum(n)
