@@ -6,6 +6,11 @@ chain. Each basis builds its J = 1 operator on first use and keeps it as
 plain numpy arrays: the diagonal S^z S^z energies plus the CSR pattern of
 the spin-flip hops. The dense matrix is scattered from those arrays; the
 scipy.sparse matrix the matvec uses wraps them on first use.
+
+The S_z = 0 ground state is also a translation eigenstate, so it can be
+found in a momentum block: one state per translation orbit, labelled by the
+orbit's smallest configuration (its representative). Those blocks keep their
+operator as a numpy hop list; they never touch scipy.
 """
 
 from __future__ import annotations
@@ -18,13 +23,8 @@ import numpy as np
 from .errors import InvalidSizeError
 
 
-@dataclass(frozen=True, eq=False)
-class SectorBasis:
-    """All configurations of an n_sites ring with fixed total S_z, sorted."""
-
-    n_sites: int
-    sz_total: float
-    configs: np.ndarray  # int64, strictly increasing
+class _ConfigList:
+    """Lookups shared by bases that hold a sorted int64 `configs` array."""
 
     def __len__(self):
         return len(self.configs)
@@ -45,6 +45,15 @@ class SectorBasis:
         shifts = np.arange(self.n_sites, dtype=np.int64)
         bits = (self.configs[:, None] >> shifts[None, :]) & 1
         return bits.astype(np.float64) - 0.5
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBasis(_ConfigList):
+    """All configurations of an n_sites ring with fixed total S_z, sorted."""
+
+    n_sites: int
+    sz_total: float
+    configs: np.ndarray  # int64, strictly increasing
 
     @cached_property
     def hamiltonian(self):
@@ -86,9 +95,106 @@ class SectorBasis:
         return sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
 
 
+def _translate(configs, r, n_sites):
+    """Configurations moved r sites along the ring: bit i goes to bit i + r mod n."""
+    return ((configs << r) | (configs >> (n_sites - r))) & ((1 << n_sites) - 1)
+
+
+def _popcount(configs, n_sites):
+    """Number of up spins among the n_sites low bits of each configuration."""
+    return sum((configs >> i) & 1 for i in range(n_sites))
+
+
+def _orbit_min(configs, n_sites):
+    """(representative, shift): the smallest translate and the r that gives it."""
+    rep, shift = configs.copy(), np.zeros(len(configs), dtype=np.int64)
+    for r in range(1, n_sites):
+        moved = _translate(configs, r, n_sites)
+        smaller = moved < rep
+        rep[smaller], shift[smaller] = moved[smaller], r
+    return rep, shift
+
+
+@dataclass(frozen=True, eq=False)
+class _Hops:
+    """Hop list of a sparse operator: `hops @ x` adds value * x[source] per target."""
+
+    sources: np.ndarray
+    targets: np.ndarray
+    values: np.ndarray
+    dim: int
+
+    def __matmul__(self, x):
+        return np.bincount(self.targets, self.values * x[self.sources], self.dim)
+
+
+@dataclass(frozen=True, eq=False)
+class MomentumBasis(_ConfigList):
+    """S_z = 0 block of momentum k = k_over_pi * pi over translation orbits.
+
+    State a is |a, k> = R_a^-1/2 sum_{r < R_a} e^{-ikr} T^r |a>, where a is
+    the smallest configuration of its orbit (its representative) and R_a the
+    orbit's period. For k in {0, pi} every amplitude is real. Each period
+    holds R_a / 2 up spins, so R_a is even and every orbit is in both blocks.
+    The configurations are checked on construction, so a basis read from a
+    file is a valid block or raises ValueError.
+    """
+
+    n_sites: int
+    k_over_pi: int
+    configs: np.ndarray  # int64 representatives, strictly increasing
+    sz_total = 0
+
+    def __post_init__(self):
+        n, reps = self.n_sites, self.configs
+        check_ring_size(n)
+        if self.k_over_pi not in (0, 1):
+            raise ValueError(f"k_over_pi must be 0 or 1, got {self.k_over_pi!r}")
+        if reps.ndim != 1 or reps.dtype != np.int64 or len(reps) == 0:
+            raise ValueError("representatives must be a non-empty list of integers")
+        if np.any(np.diff(reps) <= 0):
+            raise ValueError("representatives must be strictly increasing")
+        if np.any((reps < 0) | (reps >> n != 0) | (_popcount(reps, n) != n // 2)):
+            raise ValueError(f"representative outside the S_z = 0 sector of {n} sites")
+        if np.any(_orbit_min(reps, n)[0] != reps):
+            raise ValueError("configuration is not the smallest of its translation orbit")
+
+    @cached_property
+    def hamiltonian(self):
+        """(diagonal, hops) of the J = 1 Hamiltonian in this block.
+
+        Exchanging the spins of an antiparallel bond takes representative a
+        to a configuration whose representative b lies `shift` sites on; the
+        hop's element is 1/2 (+-1)^shift sqrt(R_a / R_b), the sign alternating
+        only at k = pi. Several hops from a to the same b add up in `@`.
+        Needs every orbit of the sector in `configs`, as `momentum_block`
+        builds it.
+        """
+        n, reps = self.n_sites, self.configs
+        periods = n // sum(_translate(reps, r, n) == reps for r in range(n))
+        # bit i of d is set where the spins on bond (i, i+1 mod n) differ
+        d = reps ^ _translate(reps, n - 1, n)
+        sources = [np.flatnonzero((d >> i) & 1) for i in range(n)]
+        flipped = np.concatenate(
+            [reps[src] ^ ((1 << i) | (1 << (i + 1) % n)) for i, src in enumerate(sources)]
+        )
+        sources = np.concatenate(sources)
+        target_reps, shift = _orbit_min(flipped, n)
+        targets = np.searchsorted(reps, target_reps)
+        values = 0.5 * np.sqrt(periods[sources] / periods[targets])
+        if self.k_over_pi:
+            values[shift % 2 == 1] *= -1.0
+        diagonal = 0.25 * (n - 2 * _popcount(d, n))  # +-1/4 per bond
+        return diagonal, _Hops(sources, targets, values, self.dim)
+
+    @property
+    def hopping(self):
+        return self.hamiltonian[1]
+
+
 @dataclass(eq=False)
 class Wavefunction:
-    """Real amplitude vector over a sector basis."""
+    """Real amplitude vector over a sector or momentum-block basis."""
 
     basis: SectorBasis
     amps: np.ndarray
@@ -132,6 +238,14 @@ def enumerate_sector(n_sites, sz_total=0):
             }
         configs = c[n_up]
     return SectorBasis(n_sites, sz_total, configs)
+
+
+def momentum_block(n_sites, k_over_pi):
+    """The S_z = 0 block of momentum k_over_pi * pi, one state per orbit."""
+    reps = enumerate_sector(n_sites, 0).configs
+    for r in range(1, n_sites):  # keep the smallest configuration of each orbit
+        reps = reps[_translate(reps, r, n_sites) >= reps]
+    return MomentumBasis(n_sites, k_over_pi, reps)
 
 
 def neel_config(n_sites):

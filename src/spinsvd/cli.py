@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corr as corr_mod
 from . import exact, four_site, mps, svd_analysis
-from .basis import enumerate_sector
+from .basis import MomentumBasis, Wavefunction, enumerate_sector
 from .errors import (
     ConditioningError,
     ConvergenceError,
@@ -27,8 +27,11 @@ from .errors import (
     InvalidSizeError,
 )
 
-STATE_FORMAT = "spinsvd-state-v1"
-ED_CLI_CAP = 20
+# v2 ED states hold a momentum block (representatives, k, amplitudes); v1 ED
+# states hold the whole S_z sector. MPS payloads are the same in both.
+STATE_FORMAT = "spinsvd-state-v2"
+STATE_FORMATS = ("spinsvd-state-v1", STATE_FORMAT)
+ED_CLI_CAP = 24
 
 
 def _fmt(x):
@@ -85,7 +88,7 @@ def save_state(path, payload):
 def load_state(path):
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != STATE_FORMAT:
+    if payload.get("format") not in STATE_FORMATS:
         raise ValueError(f"unrecognized state format in {path}")
     return payload
 
@@ -97,20 +100,28 @@ def _cmd_solve(args):
     if args.method == "ed":
         if args.n > ED_CLI_CAP:
             raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {args.n}")
-        basis = enumerate_sector(args.n, 0)
-        sol = exact.lanczos_ground_state(basis, args.j, seed=args.seed)
+        sol, cross_block_gap = exact.momentum_ground_state(args.n, args.j, seed=args.seed)
+        block = sol.wf.basis
         state = {
             "format": STATE_FORMAT,
             "method": "ed",
             "n_sites": args.n,
             "j": args.j,
             "sz_total": 0,
+            "k_over_pi": block.k_over_pi,
             "energy": sol.energy,
             "residual_norm": sol.residual_norm,
+            "representatives": block.configs.tolist(),
             "amplitudes": sol.wf.amps.tolist(),
         }
         energy_val = sol.energy
-        extra = {"residual_norm": sol.residual_norm}
+        extra = {
+            "residual_norm": sol.residual_norm,
+            "k_over_pi": block.k_over_pi,
+            "block_dim": block.dim,
+            "lanczos_iterations": sol.iterations,
+            "cross_block_gap": cross_block_gap,
+        }
     else:
         init = mps.random_init(args.n, args.chi, args.seed)
         opt, reports = mps.sweep_optimize(init, args.j, n_sweeps=args.sweeps)
@@ -151,13 +162,29 @@ def _cmd_solve(args):
     return 0
 
 
+def _ed_wavefunction(payload):
+    """The checked wavefunction of an ED state: momentum block (v2) or sector (v1)."""
+    n = payload["n_sites"]
+    if type(n) is not int:
+        raise ValueError(f"n_sites must be an integer, got {n!r}")
+    if payload["format"] == STATE_FORMAT:
+        if n > ED_CLI_CAP:
+            raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {n}")
+        reps = np.array(payload["representatives"])
+        basis = MomentumBasis(n, payload["k_over_pi"], reps)
+    else:
+        basis = enumerate_sector(n, payload["sz_total"])
+    amps = np.array(payload["amplitudes"], dtype=float)
+    if amps.shape != (basis.dim,):
+        raise ValueError(f"{amps.size} amplitudes for {basis.dim} basis states")
+    if not np.isfinite(amps).all():
+        raise ValueError("state has non-finite amplitudes")
+    return Wavefunction(basis, amps)
+
+
 def _state_to_correlation(payload):
     if payload["method"] == "ed":
-        basis = enumerate_sector(payload["n_sites"], payload["sz_total"])
-        from .basis import Wavefunction
-
-        wf = Wavefunction(basis, np.array(payload["amplitudes"]))
-        return corr_mod.build_from_wavefunction(wf)
+        return corr_mod.build_from_wavefunction(_ed_wavefunction(payload))
     n, chi = payload["n_sites"], payload["chi"]
     tensors = np.array(payload["tensors"]).reshape(n, 2, chi, chi)
     return corr_mod.build_from_mps(mps.MpsState(n, chi, tensors))

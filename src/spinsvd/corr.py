@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mps as mps_mod
+from .basis import MomentumBasis
 
 
 @dataclass(eq=False)
@@ -56,8 +57,22 @@ def _mirror(s):
     return np.triu(s) + np.triu(s, 1).T
 
 
+def _circulant(m):
+    """Circulant matrix of the means of m's wrapped diagonals, exactly symmetric."""
+    n = len(m)
+    sites = np.arange(n)
+    half = [m[sites, (sites + r) % n].mean() for r in range(n // 2 + 1)]
+    row = np.array(half + half[1 : (n + 1) // 2][::-1])  # entry N - r equals entry r
+    return row[(sites[None, :] - sites[:, None]) % n]
+
+
 def build_from_wavefunction(wf):
-    """Correlation matrix of a normalized sector wavefunction."""
+    """Correlation matrix of a normalized sector or momentum-block wavefunction.
+
+    A momentum-block state is a translation eigenstate, so its matrix is the
+    exact circulant <Sz_0 Sz_r> = sum_a psi_a^2 (1/N) sum_i z_i z_{i+r} over
+    the orbit representatives a; no full-sector vector is built.
+    """
     if wf.basis.sz_total != 0:
         warnings.warn(
             "wavefunction outside the S_z=0 sector: zero-row-sum invariant waived",
@@ -68,7 +83,8 @@ def build_from_wavefunction(wf):
         provenance = "ed-ground"
     z = wf.basis.z_values()
     weighted = z * (wf.amps**2)[:, None]
-    s = _mirror(weighted.T @ z)
+    s = weighted.T @ z
+    s = _circulant(s) if isinstance(wf.basis, MomentumBasis) else _mirror(s)
     np.fill_diagonal(s, 0.25 * float(np.sum(wf.amps**2)))
     return CorrelationMatrix(wf.basis.n_sites, s, provenance)
 

@@ -1,4 +1,8 @@
-"""Ground state by Lanczos iteration and the full small-chain spectrum."""
+"""Ground state by Lanczos iteration and the full small-chain spectrum.
+
+Lanczos runs on a whole S_z sector or, for the CLI's ground state, on the
+k = 0 and k = pi momentum blocks of S_z = 0.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from .basis import (
     check_ring_size,
     dense_hamiltonian,
     enumerate_sector,
+    momentum_block,
     neel_config,
 )
 from .errors import ConvergenceError, DegenerateGroundStateError, InvalidSizeError
@@ -26,6 +31,7 @@ class GroundSolution:
     wf: Wavefunction
     residual_norm: float
     iterations: int
+    gap: float | None = None  # lowest Ritz gap; None when nothing was iterated
 
 
 @dataclass
@@ -72,12 +78,17 @@ def _fix_sign(basis, vec):
     return vec
 
 
-def lanczos_ground_state(basis, j_coupling=1.0, tol=1e-12, max_iter=300, seed=0):
-    """Lowest eigenpair of H in the sector, fully re-orthogonalized Lanczos.
+def lanczos_ground_state(
+    basis, j_coupling=1.0, tol=1e-12, max_iter=300, seed=0, min_gap=1e-8
+):
+    """Lowest eigenpair of H on the basis, fully re-orthogonalized Lanczos.
 
-    The start vector is seeded, so runs are reproducible. A spectral gap
-    > 1e-8 between the two lowest Ritz values is required (even-N rings
-    have a unique S_z=0 ground state; anything else is a usage error).
+    The basis is a `SectorBasis` or a `MomentumBasis`. The start vector is
+    seeded, so runs are reproducible. A gap > min_gap between the two lowest
+    Ritz values is required (even-N rings have a unique S_z=0 ground state;
+    anything else is a usage error); min_gap=None leaves the check to the
+    caller, which reads `gap`. A Krylov space that closes before a second
+    Ritz value exists measures no gap and always raises.
     """
     dim = basis.dim
     if dim == 0:
@@ -125,9 +136,14 @@ def lanczos_ground_state(basis, j_coupling=1.0, tol=1e-12, max_iter=300, seed=0)
             converged = resid <= 1e-12 * max(1.0, abs(theta))
         exhausted = beta < 1e-14 or it + 1 == dim
         if converged or exhausted:
-            if len(thetas) >= 2 and thetas[1] - thetas[0] <= 1e-8:
+            if len(thetas) < 2:
                 raise DegenerateGroundStateError(
-                    f"Ritz gap {thetas[1] - thetas[0]:.3e} <= 1e-8 at iteration {it}"
+                    "Krylov space closed at iteration 0; no gap can be measured"
+                )
+            gap = float(thetas[1] - thetas[0])
+            if min_gap is not None and gap <= min_gap:
+                raise DegenerateGroundStateError(
+                    f"Ritz gap {gap:.3e} <= {min_gap:g} at iteration {it}"
                 )
             if not converged:
                 ritz = y[:, 0] @ kept
@@ -154,7 +170,30 @@ def lanczos_ground_state(basis, j_coupling=1.0, tol=1e-12, max_iter=300, seed=0)
             f"Lanczos residual {residual:.3e} above 1e-10", residual=residual
         )
     ritz = _fix_sign(basis, ritz)
-    return GroundSolution(theta, Wavefunction(basis, ritz), residual, it + 1)
+    return GroundSolution(theta, Wavefunction(basis, ritz), residual, it + 1, gap)
+
+
+def momentum_ground_state(n_sites, j_coupling=1.0, seed=0):
+    """S_z = 0 ground state of the even ring from its k = 0 and k = pi blocks.
+
+    The ground state is a translation eigenstate with real amplitudes: at
+    k = 0 or pi by Marshall's sign rule for J > 0, the ferromagnetic
+    multiplet at k = 0 for J < 0. Lanczos runs on both blocks and the lower
+    one is kept. Returns (solution, cross_block_gap), the second being
+    |E0(0) - E0(pi)|. Raises DegenerateGroundStateError when that gap or the
+    Ritz gap inside the kept block is <= 1e-8; a gap in the other block does
+    not matter.
+    """
+    lowest = [
+        lanczos_ground_state(momentum_block(n_sites, k), j_coupling, seed=seed, min_gap=None)
+        for k in (0, 1)
+    ]
+    best = min(lowest, key=lambda sol: sol.energy)
+    cross_block_gap = abs(lowest[0].energy - lowest[1].energy)
+    for name, gap in (("Ritz gap", best.gap), ("k = 0 / pi gap", cross_block_gap)):
+        if gap <= 1e-8:
+            raise DegenerateGroundStateError(f"{name} {gap:.3e} <= 1e-8")
+    return best, cross_block_gap
 
 
 def _eigh_by_flip_parity(h):

@@ -17,8 +17,10 @@ from spinsvd.basis import (
     correlator_zz,
     dense_hamiltonian,
     enumerate_sector,
+    momentum_block,
     neel_config,
 )
+from spinsvd.corr import build_from_wavefunction
 from spinsvd.errors import InvalidSizeError
 
 kron_oracle = cache(kron_hamiltonian)
@@ -160,6 +162,52 @@ def test_translation_covariance():
     h_then_shift = _cyclic_shift(b, apply_hamiltonian(Wavefunction(b, amps)).amps)
     shift_then_h = apply_hamiltonian(Wavefunction(b, _cyclic_shift(b, amps))).amps
     assert np.max(np.abs(h_then_shift - shift_then_h)) < 1e-12
+
+
+def _momentum_isometry(sector, block):
+    """Sector amplitudes of the block states: (+-1)^r / sqrt(R_a) on T^r a, r < R_a."""
+    n = sector.n_sites
+    v = np.zeros((sector.dim, block.dim))
+    for col, rep in enumerate(block.configs.tolist()):
+        orbit = [rep]
+        while (nxt := ((orbit[-1] << 1) | (orbit[-1] >> (n - 1))) & ((1 << n) - 1)) != rep:
+            orbit.append(nxt)
+        for r, cfg in enumerate(orbit):
+            v[sector.index_of(cfg), col] = (-1) ** (r * block.k_over_pi) / np.sqrt(len(orbit))
+    return v
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8, 10, 12]),
+    k_over_pi=st.sampled_from([0, 1]),
+    j_coupling=st.floats(-3.0, 3.0).filter(lambda j: abs(j) > 1e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_momentum_block_is_sector_operator_restricted(n, k_over_pi, j_coupling, seed):
+    sector, block = enumerate_sector(n, 0), momentum_block(n, k_over_pi)
+    mask = (1 << n) - 1
+    orbits = {
+        min(((c << r) | (c >> (n - r))) & mask for r in range(n)) for c in sector.configs.tolist()
+    }
+    assert block.configs.tolist() == sorted(orbits)
+    v = _momentum_isometry(sector, block)
+    assert np.max(np.abs(v.T @ v - np.eye(block.dim))) < 1e-14
+    # the block states span an invariant subspace and the block matrix is H on it
+    h = dense_hamiltonian(sector, j_coupling)
+    h_block = np.column_stack(
+        [apply_hamiltonian_to_array(block, e, j_coupling) for e in np.eye(block.dim)]
+    )
+    assert np.max(np.abs(h @ v - v @ h_block)) < 1e-12
+    spectrum = np.linalg.eigvalsh(h)
+    for e in np.linalg.eigvalsh(h_block):
+        assert np.min(np.abs(spectrum - e)) < 1e-12
+    # the circulant ZZ matrix of a block state is the sector one of its embedding
+    psi = np.random.default_rng(seed).standard_normal(block.dim)
+    psi /= np.linalg.norm(psi)
+    got = build_from_wavefunction(Wavefunction(block, psi)).entries
+    want = build_from_wavefunction(Wavefunction(sector, v @ psi)).entries
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_correlator_diagonal_and_symmetry():

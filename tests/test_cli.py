@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spinsvd import cli, four_site, mps
+from spinsvd.basis import enumerate_sector
+from spinsvd.corr import CorrelationMatrix, build_from_wavefunction
 from spinsvd.errors import ConditioningError, DegenerateGroundStateError
+from spinsvd.exact import lanczos_ground_state
 
 
 def run(argv):
@@ -27,6 +30,19 @@ def test_solve_ed_n4(tmp_path):
     assert state["energy"] == pytest.approx(-2.0, abs=1e-10)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["energy"] == pytest.approx(-2.0, abs=1e-10)
+
+
+def test_solve_ed_manifest_records_the_block(tmp_path):
+    out = tmp_path / "run"
+    assert run(["solve", "--method", "ed", "--n", "6", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["k_over_pi"] == 1  # the 6-site ground state has k = pi
+    assert manifest["block_dim"] == 4
+    assert manifest["lanczos_iterations"] >= 2
+    assert manifest["residual_norm"] <= 1e-10
+    assert manifest["cross_block_gap"] == pytest.approx(0.684741648982099, abs=1e-9)
+    state = json.loads((out / "state.json").read_text())
+    assert state["k_over_pi"] == 1 and len(state["representatives"]) == 4
 
 
 def assert_rejected(argv, out, capsys):
@@ -47,7 +63,19 @@ def test_solve_rejects_odd_n(tmp_path, capsys):
 
 
 def test_solve_rejects_oversized_ed(tmp_path, capsys):
-    assert_rejected(["solve", "--method", "ed", "--n", "22"], tmp_path / "run", capsys)
+    assert_rejected(["solve", "--method", "ed", "--n", "26"], tmp_path / "run", capsys)
+
+
+def test_solve_ed_n24(tmp_path):
+    solve_out, corr_out = tmp_path / "solve", tmp_path / "corr"
+    assert run(["solve", "--method", "ed", "--n", "24", "--out", str(solve_out)]) == 0
+    energy = json.loads((solve_out / "manifest.json").read_text())["energy"]
+    # E0/N rises with N from its N = 20 value toward 1/4 - ln 2
+    assert -8.90438652987644 / 20 < energy / 24 < 0.25 - np.log(2)
+    assert run(["corr", "--state", str(solve_out / "state.json"), "--out", str(corr_out)]) == 0
+    CorrelationMatrix(24, cli.read_matrix_csv(corr_out / "matrix.csv"), "ed-ground").validate()
+    trace_check = json.loads((corr_out / "manifest.json").read_text())["trace_check"]
+    assert abs(trace_check["sum_sqrt_lambda"] - 6.0) <= 1e-10
 
 
 @pytest.mark.parametrize("flag", ["--sweeps", "--chi"])
@@ -111,6 +139,75 @@ def test_corr_from_ed_state_matches_four_site(tmp_path):
     assert manifest["trace_check"]["sum_sqrt_lambda"] == pytest.approx(1.0, abs=1e-10)
 
 
+def _ed_state(tmp_path, n=6):
+    out = tmp_path / "solve"
+    assert run(["solve", "--method", "ed", "--n", str(n), "--out", str(out)]) == 0
+    return json.loads((out / "state.json").read_text())
+
+
+def _write_state(tmp_path, payload):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize(
+    "field,edit,message",
+    [
+        ("representatives", lambda reps: reps[::-1], "strictly increasing"),
+        ("representatives", lambda reps: [reps[0], *reps[:-1]], "strictly increasing"),
+        ("representatives", lambda reps: [*reps[:-1], reps[-1] | 1 << 5], "S_z = 0 sector"),
+        ("representatives", lambda reps: [*reps[:-1], 0b101010], "translation orbit"),
+        ("representatives", lambda reps: reps[:-1], "4 amplitudes for 3"),
+        ("amplitudes", lambda amps: [float("nan"), *amps[1:]], "non-finite"),
+        ("amplitudes", lambda amps: [float("inf"), *amps[1:]], "non-finite"),
+        ("amplitudes", lambda amps: amps + [0.0], "5 amplitudes for 4"),
+        ("n_sites", lambda n: str(n), "n_sites must be an integer"),
+        ("n_sites", lambda n: 26, "n <= 24"),
+    ],
+    ids=[
+        "unsorted",
+        "duplicate",
+        "popcount",
+        "not-representative",
+        "short-reps",
+        "nan-amp",
+        "inf-amp",
+        "long-amps",
+        "n-string",
+        "n-over-cap",
+    ],
+)
+def test_corr_rejects_malformed_v2_state(tmp_path, capsys, field, edit, message):
+    payload = _ed_state(tmp_path)  # the 6-site k = pi block, representatives 7, 11, 13, 21
+    payload[field] = edit(payload[field])
+    capsys.readouterr()
+    argv = ["corr", "--state", str(_write_state(tmp_path, payload))]
+    assert message in assert_rejected(argv, tmp_path / "corr", capsys)
+
+
+def test_corr_reads_v1_ed_state(tmp_path):
+    sol = lanczos_ground_state(enumerate_sector(8, 0))
+    v1 = {
+        "format": "spinsvd-state-v1",
+        "method": "ed",
+        "n_sites": 8,
+        "j": 1.0,
+        "sz_total": 0,
+        "energy": sol.energy,
+        "residual_norm": sol.residual_norm,
+        "amplitudes": sol.wf.amps.tolist(),
+    }
+    v1_path, corr_v1, corr_v2 = _write_state(tmp_path, v1), tmp_path / "v1", tmp_path / "v2"
+    assert run(["corr", "--state", str(v1_path), "--out", str(corr_v1)]) == 0
+    m_v1 = cli.read_matrix_csv(corr_v1 / "matrix.csv")
+    assert np.array_equal(m_v1, build_from_wavefunction(sol.wf).entries)  # the sector path
+    _ed_state(tmp_path, n=8)
+    v2_path = tmp_path / "solve" / "state.json"
+    assert run(["corr", "--state", str(v2_path), "--out", str(corr_v2)]) == 0
+    assert np.max(np.abs(m_v1 - cli.read_matrix_csv(corr_v2 / "matrix.csv"))) < 1e-12
+
+
 def test_corr_thermal_beta0(tmp_path):
     out = tmp_path / "th"
     assert run(["corr", "--beta", "0", "--n", "8", "--out", str(out)]) == 0
@@ -118,16 +215,24 @@ def test_corr_thermal_beta0(tmp_path):
     assert np.array_equal(m, 0.25 * np.eye(8))
 
 
-def test_corr_thermal_imports_no_scipy(tmp_path):
+def assert_imports_no_scipy(argv):
     code = (
         "import sys\n"
         "from spinsvd import cli\n"
-        f"assert cli.main(['corr', '--beta', '1', '--n', '8', '--out', {str(tmp_path / 'th')!r}]) == 0\n"
+        f"assert cli.main({argv!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"  # no scipy module loaded
+
+
+def test_corr_thermal_imports_no_scipy(tmp_path):
+    assert_imports_no_scipy(["corr", "--beta", "1", "--n", "8", "--out", str(tmp_path / "th")])
+
+
+def test_solve_ed_imports_no_scipy(tmp_path):
+    assert_imports_no_scipy(["solve", "--method", "ed", "--n", "10", "--out", str(tmp_path)])
 
 
 def test_corr_thermal_needs_n(tmp_path, capsys):
@@ -272,6 +377,17 @@ def test_mps_pipeline_deterministic(tmp_path):
                 str(solve_out),
             ]
         )
+        run(["corr", "--state", str(solve_out / "state.json"), "--out", str(corr_out)])
+        blobs.append((corr_out / "matrix.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_ed_pipeline_deterministic(tmp_path):
+    """Same seed, two ED solve->corr pipelines, byte-identical CSV."""
+    blobs = []
+    for tag in ("a", "b"):
+        solve_out, corr_out = tmp_path / f"solve_{tag}", tmp_path / f"corr_{tag}"
+        run(["solve", "--method", "ed", "--n", "12", "--seed", "3", "--out", str(solve_out)])
         run(["corr", "--state", str(solve_out / "state.json"), "--out", str(corr_out)])
         blobs.append((corr_out / "matrix.csv").read_bytes())
     assert blobs[0] == blobs[1]

@@ -1,13 +1,22 @@
 """Lanczos ground states and full small-chain spectra vs dense oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import embed_in_full_space, kron_hamiltonian
+from spinsvd import exact
 from spinsvd.basis import dense_hamiltonian, enumerate_sector
-from spinsvd.corr import build_thermal
-from spinsvd.errors import InvalidSizeError
-from spinsvd.exact import FullSpectrum, SectorSpectrum, full_spectrum, lanczos_ground_state
+from spinsvd.corr import build_from_wavefunction, build_thermal
+from spinsvd.errors import DegenerateGroundStateError, InvalidSizeError
+from spinsvd.exact import (
+    FullSpectrum,
+    SectorSpectrum,
+    full_spectrum,
+    lanczos_ground_state,
+    momentum_ground_state,
+)
 
 
 def test_ground_energy_n4(ground_n4):
@@ -65,6 +74,54 @@ def test_lanczos_deterministic():
 def test_j_scaling():
     b = enumerate_sector(4, 0)
     assert lanczos_ground_state(b, j_coupling=2.5).energy == pytest.approx(-5.0, abs=1e-9)
+
+
+def test_closed_krylov_space_raises():
+    # at J = 0 the start vector is an eigenvector: the space closes at iteration 0
+    with pytest.raises(DegenerateGroundStateError, match="Krylov space closed"):
+        lanczos_ground_state(enumerate_sector(6, 0), j_coupling=0.0)
+
+
+@pytest.mark.parametrize("j_coupling", [1.0, -0.7])
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_momentum_ground_state_matches_sector_lanczos(n, j_coupling):
+    ref = lanczos_ground_state(enumerate_sector(n, 0), j_coupling)
+    sol, cross_block_gap = momentum_ground_state(n, j_coupling)
+    assert abs(sol.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+    # Marshall's sign rule: k = pi for N = 6, 10, 14; the ferromagnet sits at k = 0
+    assert sol.wf.basis.k_over_pi == ((n // 2) % 2 if j_coupling > 0 else 0)
+    assert sol.residual_norm <= 1e-10 and sol.gap > 1e-8 and cross_block_gap > 1e-8
+    got = build_from_wavefunction(sol.wf)
+    got.validate()
+    assert np.max(np.abs(got.entries - build_from_wavefunction(ref.wf).entries)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "gaps,energies,match",
+    [
+        ((1.0, 0.0), (-1.0, 0.0), None),  # a degenerate level in the other block is fine
+        ((1e-9, 1.0), (-1.0, 0.0), "Ritz gap"),
+        ((1.0, 1.0), (-1.0, -1.0 + 1e-9), "k = 0 / pi gap"),
+    ],
+)
+def test_momentum_ground_state_gap_checks(monkeypatch, gaps, energies, match):
+    solve = exact.lanczos_ground_state
+
+    def with_block_values(basis, *args, min_gap=1e-8, **kwargs):
+        # the real call with this block's energy and Ritz gap swapped in
+        sol = solve(basis, *args, min_gap=min_gap, **kwargs)
+        k = basis.k_over_pi
+        if min_gap is not None and gaps[k] <= min_gap:
+            raise DegenerateGroundStateError(f"Ritz gap {gaps[k]} in block k = {k}")
+        return dataclasses.replace(sol, energy=energies[k], gap=gaps[k])
+
+    monkeypatch.setattr(exact, "lanczos_ground_state", with_block_values)
+    if match is None:
+        sol, cross_block_gap = momentum_ground_state(8)
+        assert sol.wf.basis.k_over_pi == 0 and cross_block_gap == 1.0
+    else:
+        with pytest.raises(DegenerateGroundStateError, match=match):
+            momentum_ground_state(8)
 
 
 def test_full_spectrum_n4():
