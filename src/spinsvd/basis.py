@@ -3,14 +3,15 @@
 Configurations are stored as integers: bit i set means spin up at site i.
 The Hamiltonian is the isotropic antiferromagnetic exchange on a periodic
 chain. Each basis builds its J = 1 operator on first use and keeps it as
-plain numpy arrays: the diagonal S^z S^z energies plus the CSR pattern of
-the spin-flip hops. The dense matrix is scattered from those arrays; the
-scipy.sparse matrix the matvec uses wraps them on first use.
+plain numpy arrays: the diagonal S^z S^z energies plus a hop list of the
+spin flips. The matvec is one `np.bincount` over the hops, and the dense
+matrix is scattered from them.
 
 The S_z = 0 ground state is also a translation eigenstate, so it can be
 found in a momentum block: one state per translation orbit, labelled by the
-orbit's smallest configuration (its representative). Those blocks keep their
-operator as a numpy hop list; they never touch scipy.
+orbit's smallest configuration (its representative). A whole sector and a
+block share the bond flips; they differ only in where a flipped
+configuration lands and with what element.
 """
 
 from __future__ import annotations
@@ -47,54 +48,6 @@ class _ConfigList:
         return bits.astype(np.float64) - 0.5
 
 
-@dataclass(frozen=True, eq=False)
-class SectorBasis(_ConfigList):
-    """All configurations of an n_sites ring with fixed total S_z, sorted."""
-
-    n_sites: int
-    sz_total: float
-    configs: np.ndarray  # int64, strictly increasing
-
-    @cached_property
-    def hamiltonian(self):
-        """(diagonal, indptr, indices) of the J = 1 Hamiltonian on this basis.
-
-        diagonal holds sum_i Sz_i Sz_{i+1} per configuration; indptr and
-        indices are the CSR pattern of the (S+_i S-_{i+1} + h.c.)/2 hops, each
-        of amplitude 1/2, one row per source configuration. A hop that leaves
-        the configuration list is dropped, so on a partial list this is the
-        Hamiltonian projected onto its span. Built on first use.
-        """
-        n, dim, configs = self.n_sites, self.dim, self.configs
-        # bit i of d is set where the spins on bond (i, i+1 mod n) differ
-        d = configs ^ ((configs >> 1) | ((configs & 1) << (n - 1)))
-        n_anti = np.zeros(dim, dtype=np.int64)
-        hops = np.full((n, dim), -1, dtype=np.int32)  # [bond, source] -> target
-        for i in range(n):
-            anti = (d >> i) & 1
-            n_anti += anti
-            src = np.flatnonzero(anti)
-            flipped = configs[src] ^ ((1 << i) | (1 << (i + 1) % n))
-            tgt = np.searchsorted(configs, flipped)
-            inside = configs.take(tgt, mode="clip") == flipped
-            hops[i, src[inside]] = tgt[inside]
-        diagonal = 0.25 * (n - 2 * n_anti)  # +-1/4 per bond, exact
-        hops = hops.T  # CSR rows: one per source configuration
-        kept = hops >= 0
-        indptr = np.zeros(dim + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
-        return diagonal, indptr, hops[kept]
-
-    @cached_property
-    def hopping(self):
-        """The hops as a scipy.sparse CSR array over the `hamiltonian` arrays."""
-        from scipy import sparse  # slow to import; only the matvec needs it
-
-        _, indptr, indices = self.hamiltonian
-        data = np.full(len(indices), 0.5)
-        return sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
-
-
 def _translate(configs, r, n_sites):
     """Configurations moved r sites along the ring: bit i goes to bit i + r mod n."""
     return ((configs << r) | (configs >> (n_sites - r))) & ((1 << n_sites) - 1)
@@ -126,6 +79,46 @@ class _Hops:
 
     def __matmul__(self, x):
         return np.bincount(self.targets, self.values * x[self.sources], self.dim)
+
+
+def _bond_flips(configs, n_sites):
+    """(diagonal, sources, flipped) of the exchange term on a configuration list.
+
+    diagonal is sum_i Sz_i Sz_{i+1} per configuration. Each antiparallel bond
+    of configs[source] gives one flip, ordered by bond, then by source.
+    """
+    n = n_sites
+    # bit i of d is set where the spins on bond (i, i+1 mod n) differ
+    d = configs ^ _translate(configs, n - 1, n)
+    sources = [np.flatnonzero((d >> i) & 1) for i in range(n)]
+    flipped = np.concatenate(
+        [configs[src] ^ ((1 << i) | (1 << (i + 1) % n)) for i, src in enumerate(sources)]
+    )
+    diagonal = 0.25 * (n - 2 * _popcount(d, n))
+    return diagonal, np.concatenate(sources), flipped
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBasis(_ConfigList):
+    """All configurations of an n_sites ring with fixed total S_z, sorted."""
+
+    n_sites: int
+    sz_total: float
+    configs: np.ndarray  # int64, strictly increasing
+
+    @cached_property
+    def hamiltonian(self):
+        """(diagonal, hops) of the J = 1 Hamiltonian on this basis.
+
+        Each spin flip is a hop of amplitude 1/2 to the flipped configuration.
+        A hop that leaves the configuration list is dropped, so on a partial
+        list this is the Hamiltonian projected onto its span.
+        """
+        diagonal, sources, flipped = _bond_flips(self.configs, self.n_sites)
+        targets = np.searchsorted(self.configs, flipped)
+        inside = self.configs.take(targets, mode="clip") == flipped
+        hops = _Hops(sources[inside], targets[inside], np.full(inside.sum(), 0.5), self.dim)
+        return diagonal, hops
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,31 +165,20 @@ class MomentumBasis(_ConfigList):
         """
         n, reps = self.n_sites, self.configs
         periods = n // sum(_translate(reps, r, n) == reps for r in range(n))
-        # bit i of d is set where the spins on bond (i, i+1 mod n) differ
-        d = reps ^ _translate(reps, n - 1, n)
-        sources = [np.flatnonzero((d >> i) & 1) for i in range(n)]
-        flipped = np.concatenate(
-            [reps[src] ^ ((1 << i) | (1 << (i + 1) % n)) for i, src in enumerate(sources)]
-        )
-        sources = np.concatenate(sources)
+        diagonal, sources, flipped = _bond_flips(reps, n)
         target_reps, shift = _orbit_min(flipped, n)
         targets = np.searchsorted(reps, target_reps)
         values = 0.5 * np.sqrt(periods[sources] / periods[targets])
         if self.k_over_pi:
             values[shift % 2 == 1] *= -1.0
-        diagonal = 0.25 * (n - 2 * _popcount(d, n))  # +-1/4 per bond
         return diagonal, _Hops(sources, targets, values, self.dim)
-
-    @property
-    def hopping(self):
-        return self.hamiltonian[1]
 
 
 @dataclass(eq=False)
 class Wavefunction:
     """Real amplitude vector over a sector or momentum-block basis."""
 
-    basis: SectorBasis
+    basis: SectorBasis | MomentumBasis
     amps: np.ndarray
 
     def norm(self):
@@ -263,18 +245,19 @@ def apply_hamiltonian(wf, j_coupling=1.0):
 
 def apply_hamiltonian_to_array(basis, amps, j_coupling=1.0):
     """Array-in array-out version of apply_hamiltonian (hot path helper)."""
-    out = basis.hopping @ amps
-    out += basis.hamiltonian[0] * amps
+    diagonal, hops = basis.hamiltonian
+    out = diagonal * amps
+    out += hops @ amps
     if j_coupling != 1.0:
         out *= j_coupling
     return out
 
 
 def dense_hamiltonian(basis, j_coupling=1.0):
-    """Dense sector Hamiltonian matrix (small sectors only)."""
-    diagonal, indptr, indices = basis.hamiltonian
+    """Dense Hamiltonian matrix on a sector or block basis (small bases only)."""
+    diagonal, hops = basis.hamiltonian
     h = np.diag(diagonal)
-    h[np.repeat(np.arange(basis.dim), np.diff(indptr)), indices] = 0.5
+    np.add.at(h, (hops.targets, hops.sources), hops.values)
     return j_coupling * h
 
 

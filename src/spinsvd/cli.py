@@ -162,32 +162,46 @@ def _cmd_solve(args):
     return 0
 
 
+def _int_field(payload, name, low):
+    """payload[name], checked to be a JSON integer (not a boolean) >= low."""
+    value = payload[name]
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _finite_array(payload, name):
+    """payload[name] as a float array, checked to hold only finite numbers."""
+    values = np.array(payload[name], dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"state has non-finite {name}")
+    return values
+
+
 def _ed_wavefunction(payload):
     """The checked wavefunction of an ED state: momentum block (v2) or sector (v1)."""
-    n = payload["n_sites"]
-    if type(n) is not int:
-        raise ValueError(f"n_sites must be an integer, got {n!r}")
+    n = _int_field(payload, "n_sites", 1)
+    if n > ED_CLI_CAP:
+        raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {n}")
     if payload["format"] == STATE_FORMAT:
-        if n > ED_CLI_CAP:
-            raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {n}")
         reps = np.array(payload["representatives"])
         basis = MomentumBasis(n, payload["k_over_pi"], reps)
     else:
-        basis = enumerate_sector(n, payload["sz_total"])
-    amps = np.array(payload["amplitudes"], dtype=float)
+        basis = enumerate_sector(n, _int_field(payload, "sz_total", -(n // 2)))
+    amps = _finite_array(payload, "amplitudes")
     if amps.shape != (basis.dim,):
         raise ValueError(f"{amps.size} amplitudes for {basis.dim} basis states")
-    if not np.isfinite(amps).all():
-        raise ValueError("state has non-finite amplitudes")
     return Wavefunction(basis, amps)
 
 
 def _state_to_correlation(payload):
     if payload["method"] == "ed":
         return corr_mod.build_from_wavefunction(_ed_wavefunction(payload))
-    n, chi = payload["n_sites"], payload["chi"]
-    tensors = np.array(payload["tensors"]).reshape(n, 2, chi, chi)
-    return corr_mod.build_from_mps(mps.MpsState(n, chi, tensors))
+    n, chi = _int_field(payload, "n_sites", 1), _int_field(payload, "chi", 1)
+    tensors = _finite_array(payload, "tensors")
+    if tensors.shape != (n, 2, chi * chi):
+        raise ValueError(f"tensors have shape {tensors.shape}, expected {(n, 2, chi * chi)}")
+    return corr_mod.build_from_mps(mps.MpsState(n, chi, tensors.reshape(n, 2, chi, chi)))
 
 
 def _cmd_corr(args):

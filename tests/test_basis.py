@@ -142,6 +142,10 @@ def test_operator_belongs_to_its_basis():
     half = SectorBasis(8, 0, full.configs[::2].copy())
     for b in (full, half):
         assert np.array_equal(dense_hamiltonian(b), kron_oracle(8)[np.ix_(b.configs, b.configs)])
+    # the matvec drops the hops that leave the half list, as the dense matrix does
+    x = np.random.default_rng(3).standard_normal(half.dim)
+    h_half = dense_hamiltonian(half)
+    assert np.max(np.abs(apply_hamiltonian_to_array(half, x) - h_half @ x)) < 1e-12
 
 
 def _cyclic_shift(basis, amps):
@@ -198,6 +202,7 @@ def test_momentum_block_is_sector_operator_restricted(n, k_over_pi, j_coupling, 
     h_block = np.column_stack(
         [apply_hamiltonian_to_array(block, e, j_coupling) for e in np.eye(block.dim)]
     )
+    assert np.array_equal(dense_hamiltonian(block, j_coupling), h_block)  # one operator
     assert np.max(np.abs(h @ v - v @ h_block)) < 1e-12
     spectrum = np.linalg.eigvalsh(h)
     for e in np.linalg.eigvalsh(h_block):

@@ -186,18 +186,34 @@ def test_corr_rejects_malformed_v2_state(tmp_path, capsys, field, edit, message)
     assert message in assert_rejected(argv, tmp_path / "corr", capsys)
 
 
-def test_corr_reads_v1_ed_state(tmp_path):
-    sol = lanczos_ground_state(enumerate_sector(8, 0))
+def _v1_state(n=8):
+    sol = lanczos_ground_state(enumerate_sector(n, 0))
     v1 = {
         "format": "spinsvd-state-v1",
         "method": "ed",
-        "n_sites": 8,
+        "n_sites": n,
         "j": 1.0,
         "sz_total": 0,
         "energy": sol.energy,
         "residual_norm": sol.residual_norm,
         "amplitudes": sol.wf.amps.tolist(),
     }
+    return sol, v1
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("sz_total", "0", "sz_total must be an integer"), ("n_sites", 26, "n <= 24")],
+    ids=["sz-string", "n-over-cap"],
+)
+def test_corr_rejects_malformed_v1_state(tmp_path, capsys, field, value, message):
+    payload = {**_v1_state(4)[1], field: value}
+    argv = ["corr", "--state", str(_write_state(tmp_path, payload))]
+    assert message in assert_rejected(argv, tmp_path / "corr", capsys)
+
+
+def test_corr_reads_v1_ed_state(tmp_path):
+    sol, v1 = _v1_state()
     v1_path, corr_v1, corr_v2 = _write_state(tmp_path, v1), tmp_path / "v1", tmp_path / "v2"
     assert run(["corr", "--state", str(v1_path), "--out", str(corr_v1)]) == 0
     m_v1 = cli.read_matrix_csv(corr_v1 / "matrix.csv")
@@ -215,24 +231,32 @@ def test_corr_thermal_beta0(tmp_path):
     assert np.array_equal(m, 0.25 * np.eye(8))
 
 
-def assert_imports_no_scipy(argv):
-    code = (
-        "import sys\n"
-        "from spinsvd import cli\n"
-        f"assert cli.main({argv!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
+def assert_imports_no_scipy(code):
+    """Run code in a fresh interpreter and check that it loaded no scipy module."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"  # no scipy module loaded
 
 
+def assert_cli_imports_no_scipy(argv):
+    assert_imports_no_scipy(f"from spinsvd import cli\nassert cli.main({argv!r}) == 0")
+
+
 def test_corr_thermal_imports_no_scipy(tmp_path):
-    assert_imports_no_scipy(["corr", "--beta", "1", "--n", "8", "--out", str(tmp_path / "th")])
+    assert_cli_imports_no_scipy(["corr", "--beta", "1", "--n", "8", "--out", str(tmp_path / "th")])
 
 
 def test_solve_ed_imports_no_scipy(tmp_path):
-    assert_imports_no_scipy(["solve", "--method", "ed", "--n", "10", "--out", str(tmp_path)])
+    assert_cli_imports_no_scipy(["solve", "--method", "ed", "--n", "10", "--out", str(tmp_path)])
+
+
+def test_sector_lanczos_imports_no_scipy():
+    assert_imports_no_scipy(
+        "from spinsvd.basis import enumerate_sector\n"
+        "from spinsvd.exact import lanczos_ground_state\n"
+        "lanczos_ground_state(enumerate_sector(10, 0))"
+    )
 
 
 def test_corr_thermal_needs_n(tmp_path, capsys):
@@ -352,6 +376,34 @@ def test_solve_mps_small(tmp_path):
     state = json.loads((out / "state.json").read_text())
     assert state["energy"] >= -2.0 - 1e-9  # variational bound
     assert state["energy"] == pytest.approx(-2.0, rel=1e-6)
+
+
+def _nan_first_entry(tensors):
+    tensors[0][0][0] = float("nan")
+    return tensors
+
+
+@pytest.mark.parametrize(
+    "field,edit,message",
+    [
+        ("chi", str, "chi must be an integer"),
+        ("n_sites", str, "n_sites must be an integer"),
+        ("chi", lambda chi: 0, "chi must be an integer >= 1"),
+        ("chi", lambda chi: chi + 1, "tensors have shape (4, 2, 4), expected (4, 2, 9)"),
+        ("tensors", lambda t: t[:-1], "tensors have shape (3, 2, 4)"),
+        ("tensors", _nan_first_entry, "non-finite tensors"),
+    ],
+    ids=["chi-string", "n-string", "chi-zero", "chi-mismatch", "short-tensors", "nan-tensor"],
+)
+def test_corr_rejects_malformed_mps_state(tmp_path, capsys, field, edit, message):
+    out = tmp_path / "solve"
+    argv = ["solve", "--method", "mps", "--n", "4", "--chi", "2", "--sweeps", "1"]
+    assert run(argv + ["--out", str(out)]) == 0
+    payload = json.loads((out / "state.json").read_text())
+    payload[field] = edit(payload[field])
+    capsys.readouterr()
+    argv = ["corr", "--state", str(_write_state(tmp_path, payload))]
+    assert message in assert_rejected(argv, tmp_path / "corr", capsys)
 
 
 def test_mps_pipeline_deterministic(tmp_path):
