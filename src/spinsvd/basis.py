@@ -7,16 +7,17 @@ plain numpy arrays: the diagonal S^z S^z energies plus a hop list of the
 spin flips. The matvec is one `np.bincount` over the hops, and the dense
 matrix is scattered from them.
 
-The S_z = 0 ground state is also a translation eigenstate, so it can be
-found in a momentum block: one state per translation orbit, labelled by the
-orbit's smallest configuration (its representative). A whole sector and a
-block share the bond flips; they differ only in where a flipped
-configuration lands and with what element.
+H also commutes with translations, so each sector splits into momentum
+blocks: one state per translation orbit, labelled by the orbit's smallest
+configuration (its representative). A whole sector and a block share the
+bond flips; they differ only in where a flipped configuration lands and
+with what element. The k-independent part of that is computed once per
+sector (`translation_orbits`) and shared by all of its blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -121,36 +122,96 @@ class SectorBasis(_ConfigList):
         return diagonal, hops
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumBasis(_ConfigList):
-    """S_z = 0 block of momentum k = k_over_pi * pi over translation orbits.
+def _periods(reps, n_sites):
+    """Period R_a of each configuration: the smallest r > 0 with T^r a = a."""
+    return n_sites // sum(_translate(reps, r, n_sites) == reps for r in range(n_sites))
 
-    State a is |a, k> = R_a^-1/2 sum_{r < R_a} e^{-ikr} T^r |a>, where a is
-    the smallest configuration of its orbit (its representative) and R_a the
-    orbit's period. For k in {0, pi} every amplitude is real. Each period
-    holds R_a / 2 up spins, so R_a is even and every orbit is in both blocks.
-    The configurations are checked on construction, so a basis read from a
-    file is a valid block or raises ValueError.
+
+@dataclass(frozen=True, eq=False)
+class _Orbits:
+    """The k-independent part of every momentum block of one S_z sector.
+
+    reps holds the smallest configuration of each translation orbit and
+    periods its period. Bond flip f takes the representative of orbit
+    sources[f] to a configuration c with T^shifts[f] c the representative of
+    orbit targets[f]; ratios[f] = 1/2 sqrt(R_a / R_b) is its element without
+    the phase.
     """
 
     n_sites: int
-    k_over_pi: int
+    sz_total: int
+    reps: np.ndarray
+    periods: np.ndarray
+    diagonal: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    shifts: np.ndarray
+    ratios: np.ndarray
+
+    def block(self, momentum):
+        """The block of k = 2 pi momentum / N: each orbit with momentum * R_a = 0 mod N."""
+        members = self.reps[momentum * self.periods % self.n_sites == 0]
+        return MomentumBasis(self.n_sites, self.sz_total, momentum, members, self)
+
+
+def translation_orbits(sector):
+    """The translation orbits of a whole S_z sector and the exchange between them."""
+    n, reps = sector.n_sites, sector.configs
+    for r in range(1, n):  # keep the smallest configuration of each orbit
+        reps = reps[_translate(reps, r, n) >= reps]
+    periods = _periods(reps, n)
+    diagonal, sources, flipped = _bond_flips(reps, n)
+    target_reps, shifts = _orbit_min(flipped, n)
+    targets = np.searchsorted(reps, target_reps)
+    ratios = 0.5 * np.sqrt(periods[sources] / periods[targets])
+    return _Orbits(n, sector.sz_total, reps, periods, diagonal, sources, targets, shifts, ratios)
+
+
+@dataclass(frozen=True, eq=False)
+class MomentumBasis(_ConfigList):
+    """Block of total S_z and momentum k = 2 pi m / N over translation orbits.
+
+    State a is |a, k> = R_a^-1/2 sum_{r < R_a} e^{-ikr} T^r |a>, where a is
+    the smallest configuration of its orbit (its representative) and R_a the
+    orbit's period. The state exists only when m R_a = 0 mod N. For k in
+    {0, pi} (2m = 0 mod N) every amplitude is real; at S_z = 0 each period
+    holds R_a / 2 up spins, so R_a is even and every orbit is in both of
+    those blocks. `orbits` is the sector's shared structure when the block
+    was cut from it; any other basis, such as one read from a file, is
+    checked on construction and is a valid block or raises ValueError.
+    """
+
+    n_sites: int
+    sz_total: int
+    momentum: int
     configs: np.ndarray  # int64 representatives, strictly increasing
-    sz_total = 0
+    orbits: _Orbits | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        n, reps = self.n_sites, self.configs
+        if self.orbits is not None:
+            return
+        n, reps, sz = self.n_sites, self.configs, self.sz_total
         check_ring_size(n)
-        if self.k_over_pi not in (0, 1):
-            raise ValueError(f"k_over_pi must be 0 or 1, got {self.k_over_pi!r}")
-        if reps.ndim != 1 or reps.dtype != np.int64 or len(reps) == 0:
-            raise ValueError("representatives must be a non-empty list of integers")
+        if not 0 <= self.momentum < n:
+            raise ValueError(f"momentum must lie in 0..{n - 1}, got {self.momentum!r}")
+        if reps.ndim != 1 or reps.dtype != np.int64:
+            raise ValueError("representatives must be a list of integers")
         if np.any(np.diff(reps) <= 0):
             raise ValueError("representatives must be strictly increasing")
-        if np.any((reps < 0) | (reps >> n != 0) | (_popcount(reps, n) != n // 2)):
-            raise ValueError(f"representative outside the S_z = 0 sector of {n} sites")
+        if np.any((reps < 0) | (reps >> n != 0) | (_popcount(reps, n) != n // 2 + sz)):
+            raise ValueError(f"representative outside the S_z = {sz} sector of {n} sites")
         if np.any(_orbit_min(reps, n)[0] != reps):
             raise ValueError("configuration is not the smallest of its translation orbit")
+        if np.any(self.momentum * _periods(reps, n) % n):
+            raise ValueError(f"orbit without a state at momentum 2 pi {self.momentum} / {n}")
+
+    @property
+    def k_over_pi(self):
+        """k / pi of a real block: 0 or 1."""
+        turns, rest = divmod(2 * self.momentum, self.n_sites)
+        if rest:
+            raise ValueError(f"k = 2 pi {self.momentum} / {self.n_sites} is not 0 or pi")
+        return turns
 
     @cached_property
     def hamiltonian(self):
@@ -158,20 +219,31 @@ class MomentumBasis(_ConfigList):
 
         Exchanging the spins of an antiparallel bond takes representative a
         to a configuration whose representative b lies `shift` sites on; the
-        hop's element is 1/2 (+-1)^shift sqrt(R_a / R_b), the sign alternating
-        only at k = pi. Several hops from a to the same b add up in `@`.
-        Needs every orbit of the sector in `configs`, as `momentum_block`
-        builds it.
+        hop's element is 1/2 e^{-ik shift} sqrt(R_a / R_b). It is real, with
+        the sign alternating only at k = pi, for the two real blocks, and
+        complex otherwise (their matrix is built with `dense_hamiltonian`;
+        the matvec takes real blocks only). Several hops from a to the same
+        b add up in `@`. A hop to an orbit outside `configs` is dropped, so
+        on a partial list this is H projected onto its span.
         """
-        n, reps = self.n_sites, self.configs
-        periods = n // sum(_translate(reps, r, n) == reps for r in range(n))
-        diagonal, sources, flipped = _bond_flips(reps, n)
-        target_reps, shift = _orbit_min(flipped, n)
-        targets = np.searchsorted(reps, target_reps)
-        values = 0.5 * np.sqrt(periods[sources] / periods[targets])
-        if self.k_over_pi:
-            values[shift % 2 == 1] *= -1.0
-        return diagonal, _Hops(sources, targets, values, self.dim)
+        n, m = self.n_sites, self.momentum
+        orbits = self.orbits or translation_orbits(enumerate_sector(n, self.sz_total))
+        pos = np.searchsorted(orbits.reps, self.configs)
+        sources, targets = orbits.sources, orbits.targets
+        ratios, shifts = orbits.ratios, orbits.shifts
+        if len(pos) < len(orbits.reps):  # renumber the block's orbits, drop the other hops
+            index = np.full(len(orbits.reps), -1)
+            index[pos] = np.arange(self.dim)
+            sources, targets = index[sources], index[targets]
+            keep = (sources >= 0) & (targets >= 0)
+            sources, targets = sources[keep], targets[keep]
+            ratios, shifts = ratios[keep], shifts[keep]
+        turns = m * shifts % n  # e^{-ik shift} = e^{-2 pi i turns / n}
+        if 2 * m % n == 0:
+            values = np.where(turns == 0, ratios, -ratios)
+        else:
+            values = ratios * np.exp(-2j * np.pi / n * turns)
+        return orbits.diagonal[pos], _Hops(sources, targets, values, self.dim)
 
 
 @dataclass(eq=False)
@@ -224,10 +296,9 @@ def enumerate_sector(n_sites, sz_total=0):
 
 def momentum_block(n_sites, k_over_pi):
     """The S_z = 0 block of momentum k_over_pi * pi, one state per orbit."""
-    reps = enumerate_sector(n_sites, 0).configs
-    for r in range(1, n_sites):  # keep the smallest configuration of each orbit
-        reps = reps[_translate(reps, r, n_sites) >= reps]
-    return MomentumBasis(n_sites, k_over_pi, reps)
+    if k_over_pi not in (0, 1):
+        raise ValueError(f"k_over_pi must be 0 or 1, got {k_over_pi!r}")
+    return translation_orbits(enumerate_sector(n_sites, 0)).block(k_over_pi * n_sites // 2)
 
 
 def neel_config(n_sites):
@@ -256,7 +327,7 @@ def apply_hamiltonian_to_array(basis, amps, j_coupling=1.0):
 def dense_hamiltonian(basis, j_coupling=1.0):
     """Dense Hamiltonian matrix on a sector or block basis (small bases only)."""
     diagonal, hops = basis.hamiltonian
-    h = np.diag(diagonal)
+    h = np.diag(diagonal).astype(hops.values.dtype, copy=False)
     np.add.at(h, (hops.targets, hops.sources), hops.values)
     return j_coupling * h
 

@@ -172,7 +172,10 @@ def _int_field(payload, name, low):
 
 def _finite_array(payload, name):
     """payload[name] as a float array, checked to hold only finite numbers."""
-    values = np.array(payload[name], dtype=float)
+    try:
+        values = np.array(payload[name], dtype=float)
+    except TypeError:  # an object or list where a number belongs
+        raise ValueError(f"state has non-numeric {name}") from None
     if not np.isfinite(values).all():
         raise ValueError(f"state has non-finite {name}")
     return values
@@ -184,8 +187,11 @@ def _ed_wavefunction(payload):
     if n > ED_CLI_CAP:
         raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {n}")
     if payload["format"] == STATE_FORMAT:
+        k_over_pi = _int_field(payload, "k_over_pi", 0)
+        if k_over_pi > 1:
+            raise ValueError(f"k_over_pi must be 0 or 1, got {k_over_pi}")
         reps = np.array(payload["representatives"])
-        basis = MomentumBasis(n, payload["k_over_pi"], reps)
+        basis = MomentumBasis(n, 0, k_over_pi * n // 2, reps)
     else:
         basis = enumerate_sector(n, _int_field(payload, "sz_total", -(n // 2)))
     amps = _finite_array(payload, "amplitudes")

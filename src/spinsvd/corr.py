@@ -45,11 +45,11 @@ class CorrelationMatrix:
             raise ValueError("diagonal deviates from 1/4")
         if self.min_eigenvalue() < -1e-10:
             raise ValueError("matrix not positive semidefinite")
-        if self.provenance == "ed-ground":
-            if self.row_sum_max() > 1e-12:
-                raise ValueError("ground-state row sums not zero")
+        if self.provenance == "ed-ground" and self.row_sum_max() > 1e-12:
+            raise ValueError("ground-state row sums not zero")
+        if self.provenance == "ed-ground" or self.provenance.startswith("thermal("):
             if self.circulant_deviation() > 1e-12:
-                raise ValueError("ground-state matrix not circulant")
+                raise ValueError(f"{self.provenance} matrix not circulant")
 
 
 def _mirror(s):
@@ -96,9 +96,12 @@ def build_from_mps(state):
 
 
 def build_thermal(spectrum, beta):
-    """S_ij(beta) = Z^-1 sum_n e^{-beta E_n} <n|Sz_i Sz_j|n>.
+    """S_ij(beta) = Z^-1 sum_n e^{-beta E_n} <n|Sz_i Sz_j|n>, an exact circulant.
 
-    Each eigenstate contributes through its configuration-basis weights;
+    The thermal state is translation invariant, so each level enters only
+    through the translation average (1/N) sum_i <n|Sz_i Sz_{i+r}|n>: its
+    configuration-basis weights |v|^2 against each configuration's z z^T,
+    averaged along the wrapped diagonals, counted `multiplicity` times.
     Boltzmann factors use ground-energy subtraction for overflow safety.
     """
     if beta < 0:
@@ -107,16 +110,17 @@ def build_thermal(spectrum, beta):
     e0 = spectrum.energies[0]
     s = np.zeros((n, n))
     z_part = 0.0
-    for sector in spectrum.sectors:
-        w = np.exp(-beta * (sector.energies - e0))
+    for block in spectrum.sectors:
+        w = block.multiplicity * np.exp(-beta * (block.energies - e0))
         z_part += float(np.sum(w))
         if beta == 0.0:
-            # trace is basis independent; summing configurations directly
-            # keeps the exact +-1/4 cancellations of the identity weight
-            q = np.ones(sector.basis.dim)
+            # every level weighs 1 and the |v|^2 of a block sum to 1 per
+            # state, so counting states keeps the exact +-1/4 cancellations
+            q = np.full(block.basis.dim, float(block.multiplicity))
         else:
-            q = (sector.vectors**2) @ w
-        zvals = sector.basis.z_values()
+            v = block.vectors
+            q = (v * v.conj()).real @ w
+        zvals = block.basis.z_values()
         s += (zvals * q[:, None]).T @ zvals
-    s = _mirror(s / z_part)
+    s = _circulant(s) / z_part
     return CorrelationMatrix(n, s, f"thermal(beta={beta:g})")

@@ -1,7 +1,8 @@
 """Ground state by Lanczos iteration and the full small-chain spectrum.
 
 Lanczos runs on a whole S_z sector or, for the CLI's ground state, on the
-k = 0 and k = pi momentum blocks of S_z = 0.
+k = 0 and k = pi momentum blocks of S_z = 0. The full spectrum is dense
+eigh on the (S_z, k) momentum blocks.
 """
 
 from __future__ import annotations
@@ -11,14 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    MomentumBasis,
     SectorBasis,
     Wavefunction,
     apply_hamiltonian_to_array,
     check_ring_size,
     dense_hamiltonian,
     enumerate_sector,
-    momentum_block,
     neel_config,
+    translation_orbits,
 )
 from .errors import ConvergenceError, DegenerateGroundStateError, InvalidSizeError
 
@@ -36,13 +38,18 @@ class GroundSolution:
 
 @dataclass
 class SectorSpectrum:
-    basis: SectorBasis
+    """Eigenpairs of a sector or a momentum block."""
+
+    basis: SectorBasis | MomentumBasis
     energies: np.ndarray  # ascending
     vectors: np.ndarray  # columns, orthonormal
+    multiplicity: int = 1  # blocks with these energies and |v|^2 that this one stands for
 
 
 @dataclass
 class FullSpectrum:
+    """Every level of the ring: `sectors` holds sector or block spectra."""
+
     n_sites: int
     j_coupling: float
     sectors: list
@@ -50,7 +57,8 @@ class FullSpectrum:
     @property
     def energies(self):
         """All 2^N eigenvalues, ascending."""
-        return np.sort(np.concatenate([s.energies for s in self.sectors]))
+        levels = [np.repeat(s.energies, s.multiplicity) for s in self.sectors]
+        return np.sort(np.concatenate(levels))
 
     def partition_function(self, beta, shift=None):
         """tr e^{-beta(H - shift)}; shift defaults to the ground energy."""
@@ -178,16 +186,19 @@ def momentum_ground_state(n_sites, j_coupling=1.0, seed=0):
 
     The ground state is a translation eigenstate with real amplitudes: at
     k = 0 or pi by Marshall's sign rule for J > 0, the ferromagnetic
-    multiplet at k = 0 for J < 0. Lanczos runs on both blocks and the lower
-    one is kept. Returns (solution, cross_block_gap), the second being
+    multiplet at k = 0 for J < 0. Both blocks are cut from one set of sector
+    orbits; Lanczos runs on each, its operator is dropped once it has run, and
+    the lower block is kept. Returns (solution, cross_block_gap), the second being
     |E0(0) - E0(pi)|. Raises DegenerateGroundStateError when that gap or the
     Ritz gap inside the kept block is <= 1e-8; a gap in the other block does
     not matter.
     """
-    lowest = [
-        lanczos_ground_state(momentum_block(n_sites, k), j_coupling, seed=seed, min_gap=None)
-        for k in (0, 1)
-    ]
+    orbits = translation_orbits(enumerate_sector(n_sites, 0))
+    lowest = []
+    for m in (0, n_sites // 2):
+        block = orbits.block(m)
+        lowest.append(lanczos_ground_state(block, j_coupling, seed=seed, min_gap=None))
+        vars(block).pop("hamiltonian", None)  # free its hop values before the next block
     best = min(lowest, key=lambda sol: sol.energy)
     cross_block_gap = abs(lowest[0].energy - lowest[1].energy)
     for name, gap in (("Ritz gap", best.gap), ("k = 0 / pi gap", cross_block_gap)):
@@ -196,31 +207,13 @@ def momentum_ground_state(n_sites, j_coupling=1.0, seed=0):
     return best, cross_block_gap
 
 
-def _eigh_by_flip_parity(h):
-    """eigh of the S_z = 0 sector matrix h through its spin-flip parity blocks.
-
-    The bit complement maps configuration i of the sorted sector onto
-    configuration dim-1-i and leaves H unchanged, so with m = dim/2,
-    A = h[:m, :m] and B = h[:m, m:], the flip-even and flip-odd states
-    [u; +-u[::-1]]/sqrt(2) diagonalize A +- B[:, ::-1]. Eigenpairs come back
-    merged in ascending (stable) order.
-    """
-    m = len(h) // 2
-    a, b_rev = h[:m, :m], h[:m, m:][:, ::-1]
-    (e_even, u_even), (e_odd, u_odd) = np.linalg.eigh(a + b_rev), np.linalg.eigh(a - b_rev)
-    energies = np.concatenate([e_even, e_odd])
-    vectors = np.sqrt(0.5) * np.block([[u_even, u_odd], [u_even[::-1], -u_odd[::-1]]])
-    order = np.argsort(energies, kind="stable")
-    return energies[order], vectors[:, order]
-
-
 def full_spectrum(n_sites, j_coupling=1.0):
-    """Every S_z sector's eigenpairs (n_sites <= 12), using the spin flip.
+    """Every eigenpair (n_sites <= 12) from the (S_z, k = 2 pi m / N) blocks.
 
-    The flip maps the sorted -S_z configuration list onto the S_z list in
-    reversed order with the same matrix elements, so sector S_z > 0 reuses
-    the energies of -S_z and its eigenvectors with rows reversed. Only the
-    S_z < 0 sectors and the two parity blocks of S_z = 0 are diagonalized.
+    Only S_z <= 0 and 0 <= m <= N/2 are diagonalized. The spin flip maps
+    block (S_z, m) onto (-S_z, m) and complex conjugation maps it onto
+    (S_z, N - m), each with the same energies and the same |v|^2, so a
+    stored block counts once per distinct image in its multiplicity.
     """
     check_ring_size(n_sites)
     if n_sites > FULL_SPECTRUM_CAP:
@@ -228,15 +221,13 @@ def full_spectrum(n_sites, j_coupling=1.0):
             f"full spectrum capped at {FULL_SPECTRUM_CAP} sites, got {n_sites}"
         )
     half = n_sites // 2
-    sectors = []
-    for sz in range(-half, half + 1):
-        b = enumerate_sector(n_sites, sz)
-        if sz < 0:
-            energies, vectors = np.linalg.eigh(dense_hamiltonian(b, j_coupling))
-        elif sz == 0:
-            energies, vectors = _eigh_by_flip_parity(dense_hamiltonian(b, j_coupling))
-        else:
-            mirror = sectors[half - sz]
-            energies, vectors = mirror.energies, mirror.vectors[::-1]
-        sectors.append(SectorSpectrum(b, energies, vectors))
-    return FullSpectrum(n_sites, j_coupling, sectors)
+    blocks = []
+    for sz in range(-half, 1):
+        orbits = translation_orbits(enumerate_sector(n_sites, sz))
+        for m in range(half + 1):
+            b = orbits.block(m)
+            if b.dim:
+                multiplicity = (1 if sz == 0 else 2) * (1 if m in (0, half) else 2)
+                eigh = np.linalg.eigh(dense_hamiltonian(b, j_coupling))
+                blocks.append(SectorSpectrum(b, *eigh, multiplicity))
+    return FullSpectrum(n_sites, j_coupling, blocks)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import kron_hamiltonian
 from spinsvd.basis import (
+    MomentumBasis,
     SectorBasis,
     Wavefunction,
     apply_hamiltonian,
@@ -19,6 +20,7 @@ from spinsvd.basis import (
     enumerate_sector,
     momentum_block,
     neel_config,
+    translation_orbits,
 )
 from spinsvd.corr import build_from_wavefunction
 from spinsvd.errors import InvalidSizeError
@@ -168,17 +170,39 @@ def test_translation_covariance():
     assert np.max(np.abs(h_then_shift - shift_then_h)) < 1e-12
 
 
+def _orbit(rep, n):
+    """[T^r rep for r < R]: the configuration's translates until it recurs."""
+    orbit = [rep]
+    while (nxt := ((orbit[-1] << 1) | (orbit[-1] >> (n - 1))) & ((1 << n) - 1)) != rep:
+        orbit.append(nxt)
+    return orbit
+
+
 def _momentum_isometry(sector, block):
     """Sector amplitudes of the block states: (+-1)^r / sqrt(R_a) on T^r a, r < R_a."""
-    n = sector.n_sites
     v = np.zeros((sector.dim, block.dim))
     for col, rep in enumerate(block.configs.tolist()):
-        orbit = [rep]
-        while (nxt := ((orbit[-1] << 1) | (orbit[-1] >> (n - 1))) & ((1 << n) - 1)) != rep:
-            orbit.append(nxt)
+        orbit = _orbit(rep, sector.n_sites)
         for r, cfg in enumerate(orbit):
             v[sector.index_of(cfg), col] = (-1) ** (r * block.k_over_pi) / np.sqrt(len(orbit))
     return v
+
+
+def _complex_momentum_isometry(sector, m):
+    """Columns e^{-ikr} / sqrt(R_a) on T^r a (r < R_a, k = 2 pi m / N) for every
+    orbit a of the sector that has a state at k, with its representatives."""
+    n = sector.n_sites
+    columns, reps = [], []
+    for rep in sector.configs.tolist():
+        orbit = _orbit(rep, n)
+        if rep != min(orbit) or m * len(orbit) % n:
+            continue
+        col = np.zeros(sector.dim, dtype=complex)
+        for r, cfg in enumerate(orbit):
+            col[sector.index_of(cfg)] = np.exp(-2j * np.pi * m * r / n) / np.sqrt(len(orbit))
+        columns.append(col)
+        reps.append(rep)
+    return np.array(columns).reshape(-1, sector.dim).T, reps
 
 
 @settings(max_examples=12, deadline=None)
@@ -213,6 +237,34 @@ def test_momentum_block_is_sector_operator_restricted(n, k_over_pi, j_coupling, 
     got = build_from_wavefunction(Wavefunction(block, psi)).entries
     want = build_from_wavefunction(Wavefunction(sector, v @ psi)).entries
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8, 10, 12]),
+    j_coupling=st.floats(-3.0, 3.0).filter(lambda j: abs(j) > 1e-3),
+)
+def test_every_momentum_block_is_sector_operator_restricted(n, j_coupling):
+    # every (S_z, m) block, real ones included, against the complex isometry
+    for sz in range(-n // 2, n // 2 + 1):
+        sector = enumerate_sector(n, sz)
+        h = dense_hamiltonian(sector, j_coupling)
+        orbits = translation_orbits(sector)
+        for m in range(n):
+            block = orbits.block(m)
+            v, reps = _complex_momentum_isometry(sector, m)
+            assert block.configs.tolist() == reps
+            assert np.max(np.abs(v.conj().T @ v - np.eye(block.dim)), initial=0.0) < 1e-14
+            h_block = dense_hamiltonian(block, j_coupling)
+            real = 2 * m % n == 0
+            assert h_block.dtype == (np.float64 if real else np.complex128)
+            assert np.max(np.abs(h @ v - v @ h_block), initial=0.0) < 1e-12
+            # the same block read without its sector's orbits: checked, same operator
+            loaded = MomentumBasis(n, sz, m, block.configs)
+            assert np.array_equal(dense_hamiltonian(loaded, j_coupling), h_block)
+            if block.dim < len(orbits.reps):
+                with pytest.raises(ValueError, match="without a state at momentum"):
+                    MomentumBasis(n, sz, m, orbits.reps)
 
 
 def test_correlator_diagonal_and_symmetry():

@@ -164,6 +164,10 @@ def _write_state(tmp_path, payload):
         ("amplitudes", lambda amps: amps + [0.0], "5 amplitudes for 4"),
         ("n_sites", lambda n: str(n), "n_sites must be an integer"),
         ("n_sites", lambda n: 26, "n <= 24"),
+        ("k_over_pi", lambda k: True, "k_over_pi must be an integer"),
+        ("k_over_pi", float, "k_over_pi must be an integer"),
+        ("k_over_pi", lambda k: 2, "k_over_pi must be 0 or 1"),
+        ("amplitudes", lambda amps: [{}, *amps[1:]], "non-numeric amplitudes"),
     ],
     ids=[
         "unsorted",
@@ -176,6 +180,10 @@ def _write_state(tmp_path, payload):
         "long-amps",
         "n-string",
         "n-over-cap",
+        "k-bool",
+        "k-float",
+        "k-two",
+        "object-amp",
     ],
 )
 def test_corr_rejects_malformed_v2_state(tmp_path, capsys, field, edit, message):
@@ -229,6 +237,16 @@ def test_corr_thermal_beta0(tmp_path):
     assert run(["corr", "--beta", "0", "--n", "8", "--out", str(out)]) == 0
     m = cli.read_matrix_csv(out / "matrix.csv")
     assert np.array_equal(m, 0.25 * np.eye(8))
+
+
+def test_corr_thermal_matrix_is_exactly_circulant(tmp_path):
+    out = tmp_path / "th"
+    assert run(["corr", "--beta", "10", "--n", "12", "--out", str(out)]) == 0
+    provenance = json.loads((out / "manifest.json").read_text())["provenance"]
+    cm = CorrelationMatrix(12, cli.read_matrix_csv(out / "matrix.csv"), provenance)
+    assert cm.provenance == "thermal(beta=10)"
+    cm.validate()  # checks circulant_deviation() <= 1e-12 for thermal matrices
+    assert cm.circulant_deviation() == 0.0
 
 
 def assert_imports_no_scipy(code):
@@ -383,6 +401,11 @@ def _nan_first_entry(tensors):
     return tensors
 
 
+def _object_first_entry(tensors):
+    tensors[0][0][0] = {}
+    return tensors
+
+
 @pytest.mark.parametrize(
     "field,edit,message",
     [
@@ -392,8 +415,17 @@ def _nan_first_entry(tensors):
         ("chi", lambda chi: chi + 1, "tensors have shape (4, 2, 4), expected (4, 2, 9)"),
         ("tensors", lambda t: t[:-1], "tensors have shape (3, 2, 4)"),
         ("tensors", _nan_first_entry, "non-finite tensors"),
+        ("tensors", _object_first_entry, "non-numeric tensors"),
     ],
-    ids=["chi-string", "n-string", "chi-zero", "chi-mismatch", "short-tensors", "nan-tensor"],
+    ids=[
+        "chi-string",
+        "n-string",
+        "chi-zero",
+        "chi-mismatch",
+        "short-tensors",
+        "nan-tensor",
+        "object-tensor",
+    ],
 )
 def test_corr_rejects_malformed_mps_state(tmp_path, capsys, field, edit, message):
     out = tmp_path / "solve"

@@ -87,6 +87,15 @@ def test_thermal_psd_with_quarter_diagonal(n, beta):
     assert np.max(np.abs(np.diag(s) - 0.25)) <= 1e-12
 
 
+def test_validate_rejects_non_circulant_thermal(spectrum_n8):
+    cm = corr.build_thermal(spectrum_n8, 2.0)
+    cm.validate()
+    s = cm.entries.copy()
+    s[0, 1] = s[1, 0] = s[0, 1] + 1e-9  # symmetric, PSD, quarter diagonal; not circulant
+    with pytest.raises(ValueError, match="not circulant"):
+        corr.CorrelationMatrix(8, s, cm.provenance).validate()
+
+
 def test_thermal_beta_continuity(spectrum_n8):
     delta = 1e-4
     e_max = float(np.max(np.abs(spectrum_n8.energies)))

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import embed_in_full_space, kron_hamiltonian
 from spinsvd import exact
@@ -139,7 +141,7 @@ def assert_sector_eigenpairs(spectrum):
         h = dense_hamiltonian(sector.basis, spectrum.j_coupling)
         v = sector.vectors
         assert np.max(np.abs(h @ v - v * sector.energies)) < 1e-10
-        gram = v.T @ v
+        gram = v.conj().T @ v
         assert np.max(np.abs(gram - np.eye(len(sector.energies)))) < 1e-10
         assert np.all(np.diff(sector.energies) >= 0)
 
@@ -178,6 +180,41 @@ def test_full_spectrum_n12_matches_per_sector_eigh():
         got = build_thermal(spec, beta).entries
         assert np.max(np.abs(got - build_thermal(reference, beta).entries)) < 1e-13
     assert np.array_equal(build_thermal(spec, 0.0).entries, 0.25 * np.eye(12))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8, 10, 12]),
+    j_coupling=st.floats(-3.0, 3.0).filter(lambda j: abs(j) > 1e-3),
+)
+def test_full_spectrum_blocks_reproduce_every_sector(n, j_coupling):
+    # the stored blocks of S_z <= 0 and 0 <= m <= N/2, each repeated over its
+    # k -> -k images, give every sector's spectrum; the flip adds the S_z > 0 ones
+    spec = full_spectrum(n, j_coupling)
+    assert len(spec.energies) == 2**n
+    for sz in range(-n // 2, n // 2 + 1):
+        flips = 1 if sz == 0 else 2
+        blocks = [b for b in spec.sectors if b.basis.sz_total == -abs(sz)]
+        levels = [np.repeat(b.energies, b.multiplicity // flips) for b in blocks]
+        got = np.sort(np.concatenate(levels))
+        want = np.linalg.eigvalsh(dense_hamiltonian(enumerate_sector(n, sz), j_coupling))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, abs(j_coupling))
+
+
+def test_momentum_ground_state_shares_orbits_and_frees_operators(monkeypatch):
+    blocks = []
+    solve = exact.lanczos_ground_state
+
+    def recorded(basis, *args, **kwargs):
+        blocks.append(basis)
+        return solve(basis, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "lanczos_ground_state", recorded)
+    momentum_ground_state(8)
+    assert [b.k_over_pi for b in blocks] == [0, 1]
+    assert blocks[0].orbits is blocks[1].orbits  # one orbit structure for both blocks
+    assert not any("hamiltonian" in vars(b) for b in blocks)  # hop tables released
 
 
 def test_full_spectrum_cap():
