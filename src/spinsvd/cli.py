@@ -137,7 +137,11 @@ def _cmd_solve(args):
             "tensors": opt.tensors.reshape(args.n, 2, -1).tolist(),
         }
         energy_val = reports[-1].energy
-        extra = {"final_energy_change": reports[-1].energy_change}
+        extra = {
+            "final_energy_change": reports[-1].energy_change,
+            "guard_rejects": reports[-1].guard_rejects,
+            "local_iterations": reports[-1].local_iterations,
+        }
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,12 +174,20 @@ def _int_field(payload, name, low):
     return value
 
 
+def _json_numbers(value):
+    """Whether value is a JSON number or nested lists of them: no strings or booleans."""
+    if type(value) is not list:
+        return type(value) in (int, float)
+    if value and type(value[0]) is list:
+        return all(map(_json_numbers, value))
+    return set(map(type, value)) <= {int, float}
+
+
 def _finite_array(payload, name):
-    """payload[name] as a float array, checked to hold only finite numbers."""
-    try:
-        values = np.array(payload[name], dtype=float)
-    except TypeError:  # an object or list where a number belongs
-        raise ValueError(f"state has non-numeric {name}") from None
+    """payload[name] as a float array, checked to hold only finite JSON numbers."""
+    if not _json_numbers(payload[name]):
+        raise ValueError(f"state has non-numeric {name}")
+    values = np.array(payload[name], dtype=float)
     if not np.isfinite(values).all():
         raise ValueError(f"state has non-finite {name}")
     return values
@@ -197,6 +209,9 @@ def _ed_wavefunction(payload):
     amps = _finite_array(payload, "amplitudes")
     if amps.shape != (basis.dim,):
         raise ValueError(f"{amps.size} amplitudes for {basis.dim} basis states")
+    norm2 = float(amps @ amps)
+    if abs(norm2 - 1.0) > 1e-10:
+        raise ValueError(f"amplitudes have squared norm {norm2!r}, not 1")
     return Wavefunction(basis, amps)
 
 

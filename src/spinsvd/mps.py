@@ -26,6 +26,16 @@ _OPS = np.stack([_I2, _SZ, _SP, _SM])
 # near-singular).
 _NEFF_EPS = 1e-10
 _NEFF_CUTOFF = 1e-8
+# Local eigensolver (restarted Lanczos): a Ritz pair is accepted once its
+# residual is at most _RITZ_TOL times the largest Ritz value's magnitude. A
+# cycle keeps at most _KRYLOV_DIM vectors and checks the pair every
+# _RITZ_CHECK steps; _LANCZOS_MAX_STEPS matrix-vector products is the
+# budget. _START_MIX is the weight of the fixed vector added to the start.
+_RITZ_TOL = 1e-10
+_KRYLOV_DIM = 40
+_RITZ_CHECK = 8
+_LANCZOS_MAX_STEPS = 400
+_START_MIX = 1e-3
 
 
 @dataclass
@@ -34,6 +44,13 @@ class SweepReport:
     energy: float
     energy_change: float
     spectrum_change: float | None = None
+    guard_rejects: int = 0  # sites where the monotonic guard kept the old tensor
+    local_iterations: int = 0  # Lanczos steps of the local solves
+
+
+# optimize_site returns only the energy, so it adds its guard rejections and
+# Lanczos steps here; sweep_optimize zeroes them at the start of each sweep
+_site_counts = {"guard_rejects": 0, "local_iterations": 0}
 
 
 @dataclass(eq=False)
@@ -88,26 +105,36 @@ def _ring_env(state, site):
 def _sweep_envs(state):
     """Yield (k, environment of site k) for k = 0 ... N-1.
 
-    Right blocks R_k (sites k+1 ... N-1) are built once at the start; the
-    left block (sites 0 ... k-1) grows from each tensor as it is when the
-    generator resumes, so an update at site k is seen by later sites. R_k
-    is stored without its left ends, which are rebuilt from R_{k+1}.p on
-    use: storing them too would add 3 matrices to the 5 kept per block.
+    The right block R_k (sites k+1 ... N-1) is stored as two matrices in one
+    (N-1, 2, chi^2, chi^2) array built at the start: X_k = E_{k+1} ... E_{N-2},
+    the plain product that stops before site N-1, and h_k, the bond sum of
+    R_k. Site N-1 is updated last, so on use one stacked product X_k @ [E, Fz,
+    F+, F-] of site N-1 gives R_k's p and right ends; its left ends are
+    rebuilt from R_{k+1}.p. The left block (sites 0 ... k-1) grows from each
+    tensor as it is when the generator resumes, so an update at site k is
+    seen by later sites.
     """
-    n = state.n_sites
-    right, block, left = [None] * n, None, None
-    for k in range(n - 2, -1, -1):
-        block = _combine(_site_block(state.tensors[k + 1]), block)
-        kept = np.stack([block.p, block.h, *block.right])  # one array: lower peak RSS
-        right[k] = _Block(kept[0], kept[1], None, kept[2:])
-    for k in range(n):
+    n, d2 = state.n_sites, state.chi**2
+    kept = np.empty((n - 1, 2, d2, d2))
+    kept[n - 2, 0], kept[n - 2, 1] = np.eye(d2), 0.0
+    after = np.eye(d2)  # plain product of sites k+3 ... N-1
+    last = t_next = _transfers(state.tensors[n - 1])
+    for k in range(n - 3, -1, -1):
+        t = _transfers(state.tensors[k + 1])
+        bond = t[1] @ t_next[1] + 0.5 * (t[2] @ t_next[3] + t[3] @ t_next[2])
+        kept[k, 0] = t[0] @ kept[k + 1, 0]
+        kept[k, 1] = t[0] @ kept[k + 1, 1] + bond @ after
+        after = t_next[0] @ after
+        t_next = t
+    ahead, left = kept[0, 0] @ last, None
+    for k in range(n - 1):
         if k > 0:
             left = _combine(left, _site_block(state.tensors[k - 1]))
-        r, right[k] = right[k], None
-        if r is not None:
-            ends = _transfers(state.tensors[k + 1])[1:]
-            r.left = ends if k + 2 == n else ends @ right[k + 1].p
+        r, ahead = ahead, (kept[k + 1, 0] @ last if k + 2 < n else None)
+        ends = _transfers(state.tensors[k + 1], _OPS[1:])
+        r = _Block(r[0], kept[k, 1], ends if ahead is None else ends @ ahead[0], r[1:])
         yield k, _combine(r, left)
+    yield n - 1, _combine(left, _site_block(state.tensors[n - 2]))
 
 
 def _site_matrices(env, chi, j_coupling):
@@ -161,10 +188,59 @@ def energy(state, j_coupling=1.0):
     return float(x @ heff @ x) / denom
 
 
-def _solve_site(heff, nenv):
+def _lowest_eigenpair(a, y0):
+    """Lowest eigenpair (theta, y) of the symmetric matrix a and the number of
+    matrix-vector products, by restarted Lanczos with full
+    re-orthogonalization.
+
+    The start is y0 plus _START_MIX of a fixed pseudo-random unit vector (the
+    fixed vector alone when y0 = 0), so that an eigenvector orthogonal to y0
+    is still in reach. Raises ConditioningError when _LANCZOS_MAX_STEPS
+    products do not bring the Ritz residual down to _RITZ_TOL.
+    """
+    size = np.abs(a).max()
+    a = a / size if size > 0 else a  # unit scale: no under- or overflow in the norms
+    n = a.shape[0]
+    m = min(n, _KRYLOV_DIM)
+    fixed = np.random.default_rng(0).standard_normal(n)
+    norm0 = np.linalg.norm(y0)
+    y = _START_MIX * fixed / np.linalg.norm(fixed) + (y0 / norm0 if norm0 > 0 else 0.0)
+    y /= np.linalg.norm(y)
+    q = np.empty((m, n))
+    steps = 0
+    while steps < _LANCZOS_MAX_STEPS:
+        q[0] = y
+        alphas, betas = [], []
+        for j in range(m):
+            basis = q[: j + 1]
+            w = a @ q[j]
+            steps += 1
+            alphas.append(q[j] @ w)
+            scale = np.linalg.norm(w)
+            w -= basis.T @ (basis @ w)
+            w -= basis.T @ (basis @ w)
+            beta = np.linalg.norm(w)
+            if beta <= _RITZ_TOL * scale or j + 1 == m or (j + 1) % _RITZ_CHECK == 0:
+                tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+                thetas, s = np.linalg.eigh(tri)
+                y = s[:, 0] @ basis
+                if j + 1 == n or beta * abs(s[-1, 0]) <= _RITZ_TOL * np.abs(thetas).max():
+                    return float(thetas[0] * size), y, steps
+            if j + 1 < m:
+                q[j + 1] = w / beta
+                betas.append(beta)
+    raise ConditioningError(
+        f"local Lanczos did not reach residual {_RITZ_TOL:g} in {steps} steps"
+    )
+
+
+def _solve_site(heff, nenv, x_old):
     """Lowest generalized eigenpair on the well-conditioned Gram subspace.
 
-    N_eff = I_2 (x) nenv, so eigh runs on nenv and W = I_2 (x) W_env.
+    N_eff = I_2 (x) nenv, so eigh runs on nenv and W = I_2 (x) W_env. The
+    projected matrix is assembled from the four chi^2 blocks
+    W_env^T H_ss' W_env, and Lanczos starts from x_old's coordinates
+    D^(1/2) V^T x_old. Returns the site vector and the Lanczos steps.
     """
     dim = nenv.shape[0]
     shift = _NEFF_EPS * np.trace(nenv) / dim
@@ -174,11 +250,14 @@ def _solve_site(heff, nenv):
         raise ConditioningError(
             f"all {2 * dim} Gram directions below cutoff (max eigenvalue {d[-1]:.3e})"
         )
-    w = np.kron(_I2, v[:, keep] / np.sqrt(d[keep]))
-    ht = w.T @ heff @ w
-    ht = 0.5 * (ht + ht.T)
-    evals, y = np.linalg.eigh(ht)
-    return float(evals[0]), w @ y[:, 0]
+    root = np.sqrt(d[keep])
+    w = v[:, keep] / root
+    m = w.shape[1]
+    blocks = w.T @ heff.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3) @ w
+    ht = blocks.transpose(0, 2, 1, 3).reshape(2 * m, 2 * m)
+    y0 = (x_old.reshape(2, dim) @ v[:, keep]) * root
+    _, y, steps = _lowest_eigenpair(0.5 * (ht + ht.T), y0.reshape(-1))
+    return (y.reshape(2, m) @ w.T).reshape(-1), steps
 
 
 def optimize_site(state, site, j_coupling=1.0, env=None):
@@ -193,7 +272,8 @@ def optimize_site(state, site, j_coupling=1.0, env=None):
     heff, nenv = _site_matrices(env, state.chi, j_coupling)
     x_old = state.tensors[site].reshape(-1)
     e_old = float(x_old @ heff @ x_old) / _gram(x_old, nenv)
-    _, x = _solve_site(heff, nenv)
+    x, steps = _solve_site(heff, nenv, x_old)
+    _site_counts["local_iterations"] += steps
     n2 = _gram(x, nenv)
     if not np.isfinite(n2) or n2 <= 0:
         raise ConditioningError(f"updated site has non-positive norm {n2:.3e}")
@@ -201,6 +281,7 @@ def optimize_site(state, site, j_coupling=1.0, env=None):
     if e_new >= e_old:
         # the projected subspace can miss part of the current tensor when
         # Gram directions are discarded; never accept an energy rise
+        _site_counts["guard_rejects"] += 1
         return e_old
     state.tensors[site] = (x / np.sqrt(n2)).reshape(2, state.chi, state.chi)
     return e_new
@@ -220,6 +301,7 @@ def sweep_optimize(state, j_coupling=1.0, n_sweeps=40, track_spectrum=False):
     prev_energy = np.inf
     prev_spec = None
     for sweep in range(n_sweeps):
+        _site_counts.update(guard_rejects=0, local_iterations=0)
         for site, env in _sweep_envs(state):
             e_sweep = optimize_site(state, site, j_coupling, env)
         spec_change = None
@@ -230,7 +312,7 @@ def sweep_optimize(state, j_coupling=1.0, n_sweeps=40, track_spectrum=False):
                 spec_change = float(np.max(np.abs(lam - prev_spec) / denom))
             prev_spec = lam
         change = e_sweep - prev_energy if np.isfinite(prev_energy) else np.nan
-        reports.append(SweepReport(sweep, e_sweep, change, spec_change))
+        reports.append(SweepReport(sweep, e_sweep, change, spec_change, **_site_counts))
         prev_energy = e_sweep
     return state, reports
 

@@ -1,6 +1,7 @@
 """Shared fixtures; the expensive MPS runs are session-scoped."""
 
 import os
+import time
 
 # One BLAS thread, set before numpy is first imported: the N = 64, 40-sweep
 # MPS trajectory, and so the criterion-5 values the gate prints, depend on
@@ -88,16 +89,17 @@ def mps_runs_n12(ground_n12):
 
 @pytest.fixture(scope="session")
 def mps_run_n64():
-    """The N=64 chi=10 40-sweep replication run (criterion 5)."""
+    """The N=64 chi=10 40-sweep replication run (criterion 5) and its seconds."""
+    t0 = time.perf_counter()
     state, reports = mps.sweep_optimize(
         mps.random_init(64, 10, seed=0), n_sweeps=40, track_spectrum=True
     )
-    return state, reports
+    return state, reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def corr_n64(mps_run_n64):
-    state, _ = mps_run_n64
+    state = mps_run_n64[0]
     return corr.build_from_mps(state)
 
 

@@ -300,11 +300,11 @@ def test_criterion5e_as_stated_expected_red(spec_n64):
 
 
 def test_criterion5_runtime(mps_run_n64):
-    # the session fixture having completed inside the pytest run bounds the
-    # runtime far below the 2 h ceiling; assert the sweep count honored
-    _, reports = mps_run_n64
-    check(5, "runtime bounded (40 sweeps completed at desk scale)",
-          len(reports) == 40)
+    # the reference run (random init plus 40 sweeps with the spectrum
+    # tracked) must finish within the 2 h ceiling
+    _, reports, seconds = mps_run_n64
+    check(5, "runtime bounded (40 sweeps within 2 h)",
+          len(reports) == 40 and seconds <= 7200, f"{seconds:.1f} s")
 
 
 # --------------------------------------------------------------- criterion 6

@@ -168,6 +168,11 @@ def _write_state(tmp_path, payload):
         ("k_over_pi", float, "k_over_pi must be an integer"),
         ("k_over_pi", lambda k: 2, "k_over_pi must be 0 or 1"),
         ("amplitudes", lambda amps: [{}, *amps[1:]], "non-numeric amplitudes"),
+        ("amplitudes", lambda amps: [str(amps[0]), *amps[1:]], "non-numeric amplitudes"),
+        ("amplitudes", lambda amps: [*amps[:-1], True], "non-numeric amplitudes"),
+        ("amplitudes", lambda amps: [*map(str, amps[:-1]), True], "non-numeric amplitudes"),
+        ("amplitudes", lambda amps: [2 * a for a in amps], "squared norm 4"),
+        ("amplitudes", lambda amps: [*amps[:-1], amps[-1] + 1e-9], "not 1"),
     ],
     ids=[
         "unsorted",
@@ -184,6 +189,11 @@ def _write_state(tmp_path, payload):
         "k-float",
         "k-two",
         "object-amp",
+        "string-amp",
+        "bool-amp",
+        "strings-and-bool-amps",
+        "unnormalized",
+        "norm-off-by-1e-9",
     ],
 )
 def test_corr_rejects_malformed_v2_state(tmp_path, capsys, field, edit, message):
@@ -267,6 +277,11 @@ def test_corr_thermal_imports_no_scipy(tmp_path):
 
 def test_solve_ed_imports_no_scipy(tmp_path):
     assert_cli_imports_no_scipy(["solve", "--method", "ed", "--n", "10", "--out", str(tmp_path)])
+
+
+def test_solve_mps_imports_no_scipy(tmp_path):
+    argv = ["solve", "--method", "mps", "--n", "8", "--chi", "3", "--sweeps", "1"]
+    assert_cli_imports_no_scipy(argv + ["--out", str(tmp_path)])
 
 
 def test_sector_lanczos_imports_no_scipy():
@@ -396,6 +411,18 @@ def test_solve_mps_small(tmp_path):
     assert state["energy"] == pytest.approx(-2.0, rel=1e-6)
 
 
+def test_solve_mps_manifest_records_the_last_sweep(tmp_path):
+    out = tmp_path / "mps"
+    argv = ["solve", "--method", "mps", "--n", "20", "--chi", "6", "--sweeps", "3"]
+    assert run(argv + ["--out", str(out)]) == 0
+    _, reports = mps.sweep_optimize(mps.random_init(20, 6, 0), n_sweeps=3)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["guard_rejects"] == reports[-1].guard_rejects
+    assert manifest["local_iterations"] == reports[-1].local_iterations > 0
+    state = json.loads((out / "state.json").read_text())
+    assert "guard_rejects" not in state and "local_iterations" not in state
+
+
 def _nan_first_entry(tensors):
     tensors[0][0][0] = float("nan")
     return tensors
@@ -403,6 +430,16 @@ def _nan_first_entry(tensors):
 
 def _object_first_entry(tensors):
     tensors[0][0][0] = {}
+    return tensors
+
+
+def _string_first_entry(tensors):
+    tensors[0][0][0] = str(tensors[0][0][0])
+    return tensors
+
+
+def _bool_first_entry(tensors):
+    tensors[0][0][0] = True
     return tensors
 
 
@@ -416,6 +453,8 @@ def _object_first_entry(tensors):
         ("tensors", lambda t: t[:-1], "tensors have shape (3, 2, 4)"),
         ("tensors", _nan_first_entry, "non-finite tensors"),
         ("tensors", _object_first_entry, "non-numeric tensors"),
+        ("tensors", _string_first_entry, "non-numeric tensors"),
+        ("tensors", _bool_first_entry, "non-numeric tensors"),
     ],
     ids=[
         "chi-string",
@@ -425,6 +464,8 @@ def _object_first_entry(tensors):
         "short-tensors",
         "nan-tensor",
         "object-tensor",
+        "string-tensor",
+        "bool-tensor",
     ],
 )
 def test_corr_rejects_malformed_mps_state(tmp_path, capsys, field, edit, message):

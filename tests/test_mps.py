@@ -1,11 +1,17 @@
 """Periodic MPS: initialization, energy, local updates, sweeps, correlators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinsvd import four_site
 from spinsvd import mps
 from spinsvd.basis import enumerate_sector
+from spinsvd.errors import ConditioningError
 from spinsvd.exact import lanczos_ground_state
 
 # -- reference ring walk ------------------------------------------------------
@@ -196,6 +202,93 @@ def test_cached_envs_match_ring_walk_mid_sweep():
     # fourth site, cached blocks and ring walk each lie within 2e-11 of a
     # long-double evaluation of the walk.
     assert_envs_match_ring_walk(mps.random_init(64, 10, seed=0), 1.0, 1e-10, n_updates=32)
+
+
+def test_one_sweep_peak_allocation_n64():
+    # each cached right block is two chi^2 x chi^2 matrices, 10.1 MB in all at
+    # N = 64, chi = 10; one sweep measures about 15 MB
+    state = mps.random_init(64, 10, seed=0)
+    tracemalloc.start()
+    try:
+        mps.sweep_optimize(state, n_sweeps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_sweep_report_counts_guard_rejects_and_local_steps(monkeypatch):
+    kept, steps = [], []
+    optimize_site, lowest = mps.optimize_site, mps._lowest_eigenpair
+
+    def counted_site(state, site, *args):
+        old = state.tensors[site].copy()
+        energy = optimize_site(state, site, *args)
+        kept.append(np.array_equal(state.tensors[site], old))
+        return energy
+
+    def counted_lowest(*args):
+        result = lowest(*args)
+        steps.append(result[2])
+        return result
+
+    monkeypatch.setattr(mps, "optimize_site", counted_site)
+    monkeypatch.setattr(mps, "_lowest_eigenpair", counted_lowest)
+    n = 20
+    _, reports = mps.sweep_optimize(mps.random_init(n, 6, seed=0), n_sweeps=3)
+    for r in reports:
+        sweep = slice(r.sweep_index * n, (r.sweep_index + 1) * n)
+        assert r.guard_rejects == sum(kept[sweep])
+        assert r.local_iterations == sum(steps[sweep]) > 0
+
+
+def assert_lowest_eigenpair(a, y0):
+    """The Lanczos pair against dense eigh: eigenvalue to 1e-10 and residual
+    to twice the stopping tolerance, both relative to the spectral radius.
+
+    eigvalsh is not the oracle: with entries of 1.8e-161 beside 0.1875 it
+    returns -0.187500717 for the eigenvalue -0.1875 that eigh and eigvals give.
+    """
+    theta, y, steps = mps._lowest_eigenpair(a, y0)
+    evals = np.linalg.eigh(a)[0]
+    radius = np.abs(evals).max()
+    assert 1 <= steps <= mps._LANCZOS_MAX_STEPS
+    assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+    assert abs(theta - evals[0]) <= 1e-10 * radius
+    assert np.linalg.norm(a @ y - theta * y) <= 2 * mps._RITZ_TOL * radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lowest_eigenpair_matches_dense_eigh(data):
+    n = data.draw(st.integers(1, 80), label="n")
+    unit = st.floats(-1, 1)
+    b = data.draw(arrays(np.float64, (n, n), elements=unit), label="b")
+    y0 = data.draw(arrays(np.float64, n, elements=unit), label="y0")
+    assert_lowest_eigenpair(b + b.T, y0)
+
+
+@pytest.mark.parametrize("a", [[[-2.5]], [[0.0]], [[3.0]]])
+@pytest.mark.parametrize("y0", [[1.0], [0.0]])
+def test_lowest_eigenpair_one_by_one(a, y0):
+    assert_lowest_eigenpair(np.array(a), np.array(y0))
+
+
+@pytest.mark.parametrize("which", [0, 1, 30, -1])
+def test_lowest_eigenpair_from_an_eigenvector(which):
+    # a start that is an eigenvector spans a closed Krylov space; only the
+    # fixed part of the start reaches the lowest eigenvector from there
+    b = np.random.default_rng(4).standard_normal((60, 60))
+    for a in (b + b.T, np.diag(np.arange(60.0) - 7.0)):
+        assert_lowest_eigenpair(a, np.linalg.eigh(a)[1][:, which])
+
+
+def test_lowest_eigenpair_budget_raises(monkeypatch):
+    monkeypatch.setattr(mps, "_KRYLOV_DIM", 4)
+    monkeypatch.setattr(mps, "_LANCZOS_MAX_STEPS", 8)
+    b = np.random.default_rng(5).standard_normal((60, 60))
+    with pytest.raises(ConditioningError, match="did not reach residual"):
+        mps._lowest_eigenpair(b + b.T, np.ones(60))
 
 
 def test_sweep_optimize_rejects_zero_sweeps():
