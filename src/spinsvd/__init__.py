@@ -1,50 +1,42 @@
-"""Heisenberg-ring solvers and SVD analysis of spin correlation matrices."""
+"""Heisenberg-ring solvers and SVD analysis of spin correlation matrices.
 
-from .basis import SectorBasis, Wavefunction, apply_hamiltonian, correlator_zz, enumerate_sector
-from .corr import CorrelationMatrix, build_from_mps, build_from_wavefunction, build_thermal
-from .exact import FullSpectrum, GroundSolution, full_spectrum, lanczos_ground_state
-from .mps import MpsState, energy, mps_correlator_zz, optimize_site, random_init, sweep_optimize
-from .svd_analysis import (
-    ScalingFit,
-    SvdSpectrum,
-    component,
-    degeneracy_pairs,
-    dominant_wavenumber,
-    eigendecompose,
-    fit_scaling,
-    haar_transform,
-    kernel_reconstruct,
-    measure_domain_size,
-)
+Each public name is loaded from its submodule on first use (PEP 562), so
+`import spinsvd` itself imports nothing and a command pays only for the
+modules it runs.
+"""
 
-__all__ = [
-    "SectorBasis",
-    "Wavefunction",
-    "enumerate_sector",
-    "apply_hamiltonian",
-    "correlator_zz",
-    "GroundSolution",
-    "FullSpectrum",
-    "lanczos_ground_state",
-    "full_spectrum",
-    "MpsState",
-    "random_init",
-    "energy",
-    "optimize_site",
-    "sweep_optimize",
-    "mps_correlator_zz",
-    "CorrelationMatrix",
-    "build_from_wavefunction",
-    "build_from_mps",
-    "build_thermal",
-    "SvdSpectrum",
-    "ScalingFit",
-    "eigendecompose",
-    "component",
-    "degeneracy_pairs",
-    "dominant_wavenumber",
-    "measure_domain_size",
-    "fit_scaling",
-    "kernel_reconstruct",
-    "haar_transform",
-]
+import importlib
+
+_SOURCES = {
+    "basis": ["SectorBasis", "Wavefunction", "enumerate_sector", "apply_hamiltonian", "correlator_zz"],
+    "exact": ["GroundSolution", "FullSpectrum", "lanczos_ground_state", "full_spectrum"],
+    "mps": ["MpsState", "random_init", "energy", "optimize_site", "sweep_optimize", "mps_correlator_zz"],
+    "corr": ["CorrelationMatrix", "build_from_wavefunction", "build_from_mps", "build_thermal"],
+    "svd_analysis": [
+        "SvdSpectrum",
+        "ScalingFit",
+        "eigendecompose",
+        "component",
+        "degeneracy_pairs",
+        "dominant_wavenumber",
+        "measure_domain_size",
+        "fit_scaling",
+        "kernel_reconstruct",
+        "haar_transform",
+    ],
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

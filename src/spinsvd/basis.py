@@ -54,9 +54,16 @@ def _translate(configs, r, n_sites):
     return ((configs << r) | (configs >> (n_sites - r))) & ((1 << n_sites) - 1)
 
 
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
+
+
 def _popcount(configs, n_sites):
     """Number of up spins among the n_sites low bits of each configuration."""
-    return sum((configs >> i) & 1 for i in range(n_sites))
+    low = configs & ((1 << n_sites) - 1)
+    count = _BYTE_POPCOUNT[low & 0xFF]
+    for shift in range(8, n_sites, 8):
+        count += _BYTE_POPCOUNT[(low >> shift) & 0xFF]
+    return count
 
 
 def _orbit_min(configs, n_sites):
@@ -71,7 +78,10 @@ def _orbit_min(configs, n_sites):
 
 @dataclass(frozen=True, eq=False)
 class _Hops:
-    """Hop list of a sparse operator: `hops @ x` adds value * x[source] per target."""
+    """Hop list of a sparse operator: `hops @ x` adds value * x[source] per target.
+
+    values holds one element per hop, or one scalar shared by every hop.
+    """
 
     sources: np.ndarray
     targets: np.ndarray
@@ -79,7 +89,25 @@ class _Hops:
     dim: int
 
     def __matmul__(self, x):
-        return np.bincount(self.targets, self.values * x[self.sources], self.dim)
+        # the gathered temporary on the left lets numpy multiply it in place
+        return np.bincount(self.targets, x[self.sources] * self.values, self.dim)
+
+
+def _positions(configs, wanted):
+    """Position of each wanted configuration (>= 0) in the sorted list, -1 if absent.
+
+    A list of non-negative configurations whose largest one is below the
+    number of lookups gets a direct index by configuration, with one -1 slot
+    above the largest so that clipping sends every larger configuration to a
+    miss. Any other list is searched by bisection, so the index never
+    outweighs the lookups.
+    """
+    if len(configs) == 0 or configs[0] < 0 or configs[-1] >= len(wanted) - 1:
+        pos = np.searchsorted(configs, wanted)
+        return np.where(configs.take(pos, mode="clip") == wanted, pos, -1)
+    index = np.full(configs[-1] + 2, -1)
+    index[configs] = np.arange(len(configs))
+    return index.take(wanted, mode="clip")
 
 
 def _bond_flips(configs, n_sites):
@@ -91,12 +119,17 @@ def _bond_flips(configs, n_sites):
     n = n_sites
     # bit i of d is set where the spins on bond (i, i+1 mod n) differ
     d = configs ^ _translate(configs, n - 1, n)
-    sources = [np.flatnonzero((d >> i) & 1) for i in range(n)]
-    flipped = np.concatenate(
-        [configs[src] ^ ((1 << i) | (1 << (i + 1) % n)) for i, src in enumerate(sources)]
-    )
+    # row b holds byte b of each d, so that a bond scans one byte per configuration
+    rows = d.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, : (n + 7) // 8].T.copy()
+    per_bond = [np.flatnonzero(rows[i // 8] & (1 << i % 8) != 0) for i in range(n)]
+    sources = np.concatenate(per_bond)
+    flipped = configs[sources]
+    start = 0
+    for i, src in enumerate(per_bond):
+        flipped[start : start + len(src)] ^= (1 << i) | (1 << (i + 1) % n)
+        start += len(src)
     diagonal = 0.25 * (n - 2 * _popcount(d, n))
-    return diagonal, np.concatenate(sources), flipped
+    return diagonal, sources, flipped
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +149,11 @@ class SectorBasis(_ConfigList):
         list this is the Hamiltonian projected onto its span.
         """
         diagonal, sources, flipped = _bond_flips(self.configs, self.n_sites)
-        targets = np.searchsorted(self.configs, flipped)
-        inside = self.configs.take(targets, mode="clip") == flipped
-        hops = _Hops(sources[inside], targets[inside], np.full(inside.sum(), 0.5), self.dim)
-        return diagonal, hops
+        targets = _positions(self.configs, flipped)
+        if targets.min(initial=0) < 0:
+            inside = targets >= 0
+            sources, targets = sources[inside], targets[inside]
+        return diagonal, _Hops(sources, targets, np.float64(0.5), self.dim)
 
 
 def _periods(reps, n_sites):

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corr as corr_mod
-from . import exact, four_site, mps, svd_analysis
+# The solver and analysis modules are imported by the commands that use
+# them, so that each command loads only what it runs; calls go through their
+# module attributes.
 from .basis import MomentumBasis, Wavefunction, enumerate_sector
 from .errors import (
     ConditioningError,
@@ -100,6 +101,8 @@ def _cmd_solve(args):
     if args.method == "ed":
         if args.n > ED_CLI_CAP:
             raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {args.n}")
+        from . import exact
+
         sol, cross_block_gap = exact.momentum_ground_state(args.n, args.j, seed=args.seed)
         block = sol.wf.basis
         state = {
@@ -123,6 +126,8 @@ def _cmd_solve(args):
             "cross_block_gap": cross_block_gap,
         }
     else:
+        from . import mps
+
         init = mps.random_init(args.n, args.chi, args.seed)
         opt, reports = mps.sweep_optimize(init, args.j, n_sweeps=args.sweeps)
         state = {
@@ -216,8 +221,12 @@ def _ed_wavefunction(payload):
 
 
 def _state_to_correlation(payload):
+    from . import corr as corr_mod
+
     if payload["method"] == "ed":
         return corr_mod.build_from_wavefunction(_ed_wavefunction(payload))
+    from . import mps
+
     n, chi = _int_field(payload, "n_sites", 1), _int_field(payload, "chi", 1)
     tensors = _finite_array(payload, "tensors")
     if tensors.shape != (n, 2, chi * chi):
@@ -226,9 +235,14 @@ def _state_to_correlation(payload):
 
 
 def _cmd_corr(args):
+    from . import corr as corr_mod
+    from . import svd_analysis
+
     if args.beta is not None:
         if args.n is None:
             raise ValueError("thermal mode needs --n")
+        from . import exact
+
         spectrum = exact.full_spectrum(args.n, args.j)
         cm = corr_mod.build_thermal(spectrum, args.beta)
         meta = {"beta": args.beta, "n_sites": args.n, "method": "thermal"}
@@ -270,6 +284,9 @@ def _cmd_corr(args):
 
 
 def _cmd_analyze(args):
+    from . import corr as corr_mod
+    from . import svd_analysis
+
     matrix = read_matrix_csv(args.matrix)
     bad = [n for n in args.components or [] if not 1 <= n <= matrix.shape[0]]
     if bad:
@@ -351,6 +368,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_oracle4(args):
+    from . import four_site
+
     text = json.dumps(four_site.as_json_dict(), sort_keys=True, indent=2)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -394,6 +413,10 @@ def _coupling(text):
     return _finite_float(text, lambda v: v != 0, "a finite nonzero number")
 
 
+def _domain_threshold(text):
+    return _finite_float(text, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors print one error: line and exit 1; exit 2 is kept for numerics."""
 
@@ -432,7 +455,7 @@ def build_parser():
     p_an.add_argument("--fit", action="store_true")
     p_an.add_argument("--domains", action="store_true")
     p_an.add_argument("--haar", action="store_true")
-    p_an.add_argument("--domain-threshold", type=float, default=0.1)
+    p_an.add_argument("--domain-threshold", type=_domain_threshold, default=0.1)
     p_an.add_argument("--out", required=True)
     p_an.set_defaults(func=_cmd_analyze)
 

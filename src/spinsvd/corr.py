@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mps as mps_mod
 from .basis import MomentumBasis
 
 
@@ -91,6 +90,8 @@ def build_from_wavefunction(wf):
 
 def build_from_mps(state):
     """Correlation matrix of an (optimized) periodic MPS."""
+    from . import mps as mps_mod  # imported here: the ED and thermal paths never load it
+
     s = _mirror(mps_mod.correlation_matrix(state))
     return CorrelationMatrix(state.n_sites, s, "mps")
 

@@ -43,7 +43,6 @@ class SweepReport:
     sweep_index: int
     energy: float
     energy_change: float
-    spectrum_change: float | None = None
     guard_rejects: int = 0  # sites where the monotonic guard kept the old tensor
     local_iterations: int = 0  # Lanczos steps of the local solves
 
@@ -287,32 +286,19 @@ def optimize_site(state, site, j_coupling=1.0, env=None):
     return e_new
 
 
-def sweep_optimize(state, j_coupling=1.0, n_sweeps=40, track_spectrum=False):
-    """Sequential site-by-site optimization, n_sweeps full forward passes.
-
-    Energy converges within a few sweeps; the correlation-matrix spectrum
-    needs many more, so track_spectrum records its relative change per
-    sweep when requested.
-    """
+def sweep_optimize(state, j_coupling=1.0, n_sweeps=40):
+    """Sequential site-by-site optimization, n_sweeps full forward passes."""
     if n_sweeps < 1:
         raise ValueError(f"n_sweeps must be >= 1, got {n_sweeps}")
     state = state.copy()
     reports = []
     prev_energy = np.inf
-    prev_spec = None
     for sweep in range(n_sweeps):
         _site_counts.update(guard_rejects=0, local_iterations=0)
         for site, env in _sweep_envs(state):
             e_sweep = optimize_site(state, site, j_coupling, env)
-        spec_change = None
-        if track_spectrum:
-            lam = np.sort(np.linalg.eigvalsh(correlation_matrix(state)))[::-1] ** 2
-            if prev_spec is not None:
-                denom = np.maximum(np.abs(prev_spec), 1e-300)
-                spec_change = float(np.max(np.abs(lam - prev_spec) / denom))
-            prev_spec = lam
         change = e_sweep - prev_energy if np.isfinite(prev_energy) else np.nan
-        reports.append(SweepReport(sweep, e_sweep, change, spec_change, **_site_counts))
+        reports.append(SweepReport(sweep, e_sweep, change, **_site_counts))
         prev_energy = e_sweep
     return state, reports
 

@@ -63,8 +63,10 @@ class KernelReconstruction:
 def eigendecompose(corr):
     """Descending eigenpairs of the correlation matrix.
 
-    Sign convention: each eigenvector's largest-magnitude entry is made
-    positive (first such entry on ties), so exports are reproducible.
+    Sign convention: in each eigenvector the first entry within 1e-12
+    relative of the largest magnitude is made positive, so that entries tied
+    up to rounding (all of them in the k = pi vector of a circulant) pick the
+    same pivot and exports are reproducible.
     """
     s = corr.entries if hasattr(corr, "entries") else np.asarray(corr)
     if not np.allclose(s, s.T, atol=0, rtol=0):
@@ -74,7 +76,8 @@ def eigendecompose(corr):
     vals = vals[order]
     vecs = vecs[:, order]
     for k in range(vecs.shape[1]):
-        pivot = int(np.argmax(np.abs(vecs[:, k])))
+        mag = np.abs(vecs[:, k])
+        pivot = int(np.argmax(mag >= (1 - 1e-12) * mag.max()))
         if vecs[pivot, k] < 0:
             vecs[:, k] = -vecs[:, k]
     return SvdSpectrum(vals, vecs)

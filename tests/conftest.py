@@ -91,9 +91,7 @@ def mps_runs_n12(ground_n12):
 def mps_run_n64():
     """The N=64 chi=10 40-sweep replication run (criterion 5) and its seconds."""
     t0 = time.perf_counter()
-    state, reports = mps.sweep_optimize(
-        mps.random_init(64, 10, seed=0), n_sweeps=40, track_spectrum=True
-    )
+    state, reports = mps.sweep_optimize(mps.random_init(64, 10, seed=0), n_sweeps=40)
     return state, reports, time.perf_counter() - t0
 
 

@@ -1,11 +1,12 @@
 """Sector enumeration, Hamiltonian action, and zz correlators."""
 
+import tracemalloc
 from functools import cache
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import kron_hamiltonian
@@ -148,6 +149,109 @@ def test_operator_belongs_to_its_basis():
     x = np.random.default_rng(3).standard_normal(half.dim)
     h_half = dense_hamiltonian(half)
     assert np.max(np.abs(apply_hamiltonian_to_array(half, x) - h_half @ x)) < 1e-12
+
+
+def searchsorted_operator(configs, n):
+    """(diagonal, sources, targets) of the J = 1 exchange on a sorted list, by
+    bisection: the flips of bond i = 0 ... n-1 in turn, each in source order,
+    a flip that leaves the list dropped."""
+    diagonal = np.zeros(len(configs))
+    sources, targets = [], []
+    for i in range(n):
+        j = (i + 1) % n
+        differ = ((configs >> i) ^ (configs >> j)) & 1
+        diagonal += np.where(differ, -0.25, 0.25)
+        src = np.flatnonzero(differ)
+        flipped = configs[src] ^ ((1 << i) | (1 << j))
+        pos = np.searchsorted(configs, flipped)
+        found = configs[np.minimum(pos, len(configs) - 1)] == flipped
+        sources.append(src[found])
+        targets.append(pos[found])
+    return diagonal, np.concatenate(sources), np.concatenate(targets)
+
+
+def assert_operator_matches_reference(basis, seed=0):
+    diagonal, hops = basis.hamiltonian
+    ref_diagonal, ref_sources, ref_targets = searchsorted_operator(basis.configs, basis.n_sites)
+    assert np.array_equal(diagonal, ref_diagonal)
+    assert np.array_equal(hops.sources, ref_sources)
+    assert np.array_equal(hops.targets, ref_targets)
+    assert np.all(hops.values == 0.5)
+    x = np.random.default_rng(seed).standard_normal(basis.dim)
+    deviation = apply_hamiltonian_to_array(basis, x) - dense_hamiltonian(basis) @ x
+    assert np.max(np.abs(deviation), initial=0.0) < 1e-12
+
+
+def largest_and_flips(basis):
+    """The list's largest configuration and its number of antiparallel bonds."""
+    n, c = basis.n_sites, basis.configs
+    flips = sum(int(np.sum(((c >> i) ^ (c >> (i + 1) % n)) & 1)) for i in range(n))
+    return int(c[-1]), flips
+
+
+@pytest.mark.parametrize("n", range(4, 15, 2))
+def test_sector_operator_matches_searchsorted_reference(n):
+    for sz in range(-n // 2, n // 2 + 1):
+        assert_operator_matches_reference(enumerate_sector(n, sz))
+
+
+def test_reference_cases_cover_both_lookups():
+    # a whole S_z = 0 sector, or its lower half, has more flips than its
+    # largest configuration (direct index); a sector near full polarization
+    # has far fewer (bisection)
+    largest, flips = largest_and_flips(enumerate_sector(12, 0))
+    assert largest + 2 <= flips
+    lower_half = SectorBasis(14, 0, enumerate_sector(14, 0).configs[:1716])
+    largest, flips = largest_and_flips(lower_half)
+    assert largest + 2 <= flips
+    assert_operator_matches_reference(lower_half)  # drops the flips above its largest
+    largest, flips = largest_and_flips(enumerate_sector(12, 5))
+    assert largest + 2 > flips
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8, 10, 12, 14]),
+    level=st.integers(0, 14),
+    stop=st.floats(0, 1),
+    drops=st.lists(st.integers(0, 2**31), max_size=400),
+)
+@example(n=8, level=4, stop=0.0, drops=[])  # the empty list
+@example(n=8, level=4, stop=1.0, drops=list(range(1, 70)))  # a single configuration
+@example(n=14, level=7, stop=1.0, drops=list(range(0, 3432, 2)))  # every other configuration
+def test_partial_list_operator_matches_searchsorted_reference(n, level, stop, drops):
+    # level sets the sector (level mod (n + 1) up spins); the list is the
+    # sector's lowest stop share of configurations without the dropped ones
+    sector = enumerate_sector(n, level % (n + 1) - n // 2)
+    kept = np.setdiff1d(np.arange(round(stop * sector.dim)), drops)
+    assert_operator_matches_reference(SectorBasis(n, sector.sz_total, sector.configs[kept]))
+
+
+@pytest.mark.parametrize("configs", [[], [0b0101_0101], [0b0011_0011]], ids=["empty", "neel", "two-domains"])
+def test_tiny_list_operator(configs):
+    basis = SectorBasis(8, 0, np.array(configs, dtype=np.int64))
+    assert_operator_matches_reference(basis)
+    assert len(basis.hamiltonian[1].sources) == 0
+
+
+def test_sparse_long_ring_list_builds_without_large_allocation():
+    # a few configurations of a 40-site ring up to ~2^40: a direct index by
+    # configuration would take terabytes
+    n = 40
+    neel = sum(1 << i for i in range(0, n, 2))
+    configs = sorted({neel, neel << 1, neel ^ 0b11, neel ^ (0b11 << 20), neel ^ (1 | 1 << 39)})
+    basis = SectorBasis(n, 0, np.array(configs, dtype=np.int64))
+    largest, flips = largest_and_flips(basis)
+    assert largest > 2**39 and flips < 200
+    tracemalloc.start()
+    try:
+        basis.hamiltonian
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert_operator_matches_reference(basis)
+    assert len(basis.hamiltonian[1].sources) > 0  # the list holds some of its own flips
 
 
 def _cyclic_shift(basis, amps):

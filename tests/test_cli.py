@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import spinsvd
 from spinsvd import cli, four_site, mps
 from spinsvd.basis import enumerate_sector
 from spinsvd.corr import CorrelationMatrix, build_from_wavefunction
@@ -292,6 +293,57 @@ def test_sector_lanczos_imports_no_scipy():
     )
 
 
+def loaded_submodules(code):
+    """The spinsvd submodules that code loads in a fresh interpreter."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('spinsvd.')))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return eval(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_submodules("import spinsvd") == []
+
+
+def test_first_public_name_loads_only_its_module():
+    code = "import spinsvd\nspinsvd.enumerate_sector(6, 0)"
+    assert loaded_submodules(code) == ["spinsvd.basis", "spinsvd.errors"]
+
+
+def test_analyze_loads_no_solver(tmp_path, ground_n12):
+    mat_path = tmp_path / "m.csv"
+    cli.write_matrix_csv(mat_path, build_from_wavefunction(ground_n12.wf).entries)
+    argv = ["analyze", "--matrix", str(mat_path), "--components", "1", "--fit", "--domains", "--haar"]
+    code = f"from spinsvd import cli\nassert cli.main({argv + ['--out', str(tmp_path / 'an')]!r}) == 0"
+    loaded = loaded_submodules(code)
+    assert "spinsvd.svd_analysis" in loaded
+    assert "spinsvd.mps" not in loaded and "spinsvd.exact" not in loaded
+
+
+def test_solve_mps_loads_neither_ed_nor_corr(tmp_path):
+    argv = ["solve", "--method", "mps", "--n", "8", "--chi", "3", "--sweeps", "1", "--out", str(tmp_path)]
+    loaded = loaded_submodules(f"from spinsvd import cli\nassert cli.main({argv!r}) == 0")
+    assert "spinsvd.mps" in loaded
+    assert "spinsvd.exact" not in loaded and "spinsvd.corr" not in loaded
+
+
+def test_star_import_binds_the_public_names():
+    code = "names = set(dir())\nfrom spinsvd import *\nprint(sorted(set(dir()) - names - {'names'}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    public = [
+        "SectorBasis", "Wavefunction", "enumerate_sector", "apply_hamiltonian", "correlator_zz",
+        "GroundSolution", "FullSpectrum", "lanczos_ground_state", "full_spectrum",
+        "MpsState", "random_init", "energy", "optimize_site", "sweep_optimize", "mps_correlator_zz",
+        "CorrelationMatrix", "build_from_wavefunction", "build_from_mps", "build_thermal",
+        "SvdSpectrum", "ScalingFit", "eigendecompose", "component", "degeneracy_pairs",
+        "dominant_wavenumber", "measure_domain_size", "fit_scaling", "kernel_reconstruct",
+        "haar_transform",
+    ]  # fmt: skip
+    assert len(public) == 29 and spinsvd.__all__ == public
+    assert eval(proc.stdout) == sorted(public)
+
+
 def test_corr_thermal_needs_n(tmp_path, capsys):
     assert_rejected(["corr", "--beta", "1.0"], tmp_path / "th", capsys)
 
@@ -345,6 +397,25 @@ def test_analyze_rejects_non_finite(tmp_path, capsys, bad):
     mat_path.write_text(f"0.25,{bad}\n{bad},0.25\n")
     err = assert_rejected(["analyze", "--matrix", str(mat_path)], tmp_path / "an", capsys)
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1.5", "-1", "x"])
+def test_analyze_rejects_domain_threshold_outside_unit_interval(tmp_path, capsys, bad):
+    mat_path = tmp_path / "m.csv"
+    cli.write_matrix_csv(mat_path, four_site.reference_correlation_matrix().entries)
+    argv = ["analyze", "--matrix", str(mat_path), "--domains", "--domain-threshold", bad]
+    err = assert_rejected(argv, tmp_path / "an", capsys)
+    assert "argument --domain-threshold: must be a number in [0, 1]" in err
+
+
+@pytest.mark.parametrize("threshold", ["0", "1"])
+def test_analyze_accepts_domain_threshold_bounds(tmp_path, threshold):
+    mat_path = tmp_path / "m.csv"
+    cli.write_matrix_csv(mat_path, four_site.reference_correlation_matrix().entries)
+    out = tmp_path / "an"
+    argv = ["analyze", "--matrix", str(mat_path), "--domains", "--domain-threshold", threshold]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert len((out / "domains.csv").read_text().splitlines()) > 1  # header and measured rows
 
 
 def test_analyze_missing_matrix(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinsvd import corr, four_site
+from spinsvd import corr, exact, four_site
 from spinsvd import svd_analysis as sa
 
 
@@ -33,9 +33,32 @@ def test_reconstruction(corr_n12):
 
 
 def test_sign_convention(spec_n4):
+    # the pivot is the first entry within 1e-12 relative of the largest magnitude
     for k in range(4):
         v = spec_n4.vectors[:, k]
+        assert v[np.argmax(np.abs(v) >= (1 - 1e-12) * np.abs(v).max())] > 0
+    assert np.array_equal(np.sign(spec_n4.vectors[:, 0]), [1, -1, 1, -1])
+
+
+def test_sign_convention_without_ties():
+    # with one largest-magnitude entry per column the pivot is that entry
+    r = np.random.default_rng(4).standard_normal((9, 9))
+    spec = sa.eigendecompose(r + r.T)
+    for v in spec.vectors.T:
         assert v[np.argmax(np.abs(v))] > 0
+
+
+def test_sign_pivot_tolerates_rounding_ties():
+    # every entry of the k = pi vector (rank 1) of the N = 16 ED matrix ties
+    # in magnitude up to rounding; a symmetric 1e-16 perturbation keeps its sign
+    sol, _ = exact.momentum_ground_state(16)
+    s = corr.build_from_wavefunction(sol.wf).entries
+    top = sa.eigendecompose(s).vectors[:, 0]
+    assert np.max(np.abs(top - 0.25 * (-1.0) ** np.arange(16))) < 1e-12
+    for seed in range(8):
+        r = np.random.default_rng(seed).standard_normal(s.shape)
+        v = sa.eigendecompose(s + 1e-16 * (r + r.T) / 2).vectors[:, 0]
+        assert np.max(np.abs(v - top)) < 1e-10
 
 
 def test_nonsymmetric_rejected():
