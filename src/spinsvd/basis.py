@@ -134,11 +134,26 @@ def _bond_flips(configs, n_sites):
 
 @dataclass(frozen=True, eq=False)
 class SectorBasis(_ConfigList):
-    """All configurations of an n_sites ring with fixed total S_z, sorted."""
+    """Configurations of an n_sites ring with fixed total S_z, sorted.
+
+    `enumerate_sector` gives the whole sector; a partial list is checked on
+    construction and is a list of the sector's configurations or raises
+    ValueError.
+    """
 
     n_sites: int
     sz_total: float
     configs: np.ndarray  # int64, strictly increasing
+
+    def __post_init__(self):
+        n, configs, sz = self.n_sites, self.configs, self.sz_total
+        check_ring_size(n)
+        if configs.ndim != 1 or configs.dtype != np.int64:
+            raise ValueError("configurations must be a list of integers")
+        if np.any(np.diff(configs) <= 0):
+            raise ValueError("configurations must be strictly increasing")
+        if np.any((configs < 0) | (configs >> n != 0) | (_popcount(configs, n) != n // 2 + sz)):
+            raise ValueError(f"configuration outside the S_z = {sz} sector of {n} sites")
 
     @cached_property
     def hamiltonian(self):

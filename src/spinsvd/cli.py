@@ -216,7 +216,7 @@ def _ed_wavefunction(payload):
         raise ValueError(f"{amps.size} amplitudes for {basis.dim} basis states")
     norm2 = float(amps @ amps)
     if abs(norm2 - 1.0) > 1e-10:
-        raise ValueError(f"amplitudes have squared norm {norm2!r}, not 1")
+        raise ValueError(f"amplitudes have squared norm {norm2:.12g}, not 1")
     return Wavefunction(basis, amps)
 
 

@@ -23,8 +23,12 @@ from .basis import (
     translation_orbits,
 )
 from .errors import ConvergenceError, DegenerateGroundStateError, InvalidSizeError
+from .lanczos import lowest_ritz_pair
 
 FULL_SPECTRUM_CAP = 12
+# ground-state Lanczos: relative stopping tolerance and step budget
+_LANCZOS_TOL = 1e-12
+_LANCZOS_MAX_STEPS = 300
 
 
 @dataclass
@@ -86,17 +90,18 @@ def _fix_sign(basis, vec):
     return vec
 
 
-def lanczos_ground_state(
-    basis, j_coupling=1.0, tol=1e-12, max_iter=300, seed=0, min_gap=1e-8
-):
-    """Lowest eigenpair of H on the basis, fully re-orthogonalized Lanczos.
+def lanczos_ground_state(basis, j_coupling=1.0, seed=0, min_gap=1e-8):
+    """Lowest eigenpair of H on the basis by `lanczos.lowest_ritz_pair`.
 
     The basis is a `SectorBasis` or a `MomentumBasis`. The start vector is
-    seeded, so runs are reproducible. A gap > min_gap between the two lowest
-    Ritz values is required (even-N rings have a unique S_z=0 ground state;
-    anything else is a usage error); min_gap=None leaves the check to the
-    caller, which reads `gap`. A Krylov space that closes before a second
-    Ritz value exists measures no gap and always raises.
+    seeded, so runs are reproducible. Lanczos stops at a residual estimate
+    of _LANCZOS_TOL times the largest |Ritz value|, well below the 1e-10
+    acceptance bound, so that downstream correlators hold their 1e-12
+    invariants. A gap > min_gap between the two lowest Ritz values is
+    required (even-N rings have a unique S_z=0 ground state; anything else
+    is a usage error); min_gap=None leaves the check to the caller, which
+    reads `gap`. A Krylov space that closes before a second Ritz value
+    exists measures no gap and always raises.
     """
     dim = basis.dim
     if dim == 0:
@@ -107,78 +112,33 @@ def lanczos_ground_state(
         wf = Wavefunction(basis, amps)
         return GroundSolution(e, wf, 0.0, 0)
 
-    rng = np.random.default_rng(seed)
-    m_max = min(max_iter, dim)
-    vecs = np.empty((m_max, dim))  # Krylov rows; only the ones used are touched
-    vecs[0] = rng.standard_normal(dim)
-    vecs[0] /= np.linalg.norm(vecs[0])
+    def matvec(v):  # the module attribute, so that a wrapped one is called
+        return apply_hamiltonian_to_array(basis, v, j_coupling)
 
-    alphas, betas = [], []
-    prev_theta = np.inf
-
-    for it in range(m_max):
-        kept = vecs[: it + 1]
-        w = apply_hamiltonian_to_array(basis, vecs[it], j_coupling)
-        alphas.append(float(vecs[it] @ w))
-        # full re-orthogonalization against all kept vectors, twice
-        w -= kept.T @ (kept @ w)
-        w -= kept.T @ (kept @ w)
-        beta = float(np.linalg.norm(w))
-
-        tri = np.diag(alphas)
-        if betas:
-            off = np.array(betas)
-            tri += np.diag(off, 1) + np.diag(off, -1)
-        thetas, y = np.linalg.eigh(tri)
-        theta = float(thetas[0])
-
-        converged = it > 0 and abs(theta - prev_theta) < tol
-        if converged:
-            # energy settles long before the eigenvector; drive the
-            # residual well below the 1e-10 acceptance bound so that
-            # downstream correlators hold their 1e-12 invariants
-            ritz = y[:, 0] @ kept
-            resid = np.linalg.norm(
-                apply_hamiltonian_to_array(basis, ritz, j_coupling) - theta * ritz
-            )
-            converged = resid <= 1e-12 * max(1.0, abs(theta))
-        exhausted = beta < 1e-14 or it + 1 == dim
-        if converged or exhausted:
-            if len(thetas) < 2:
-                raise DegenerateGroundStateError(
-                    "Krylov space closed at iteration 0; no gap can be measured"
-                )
-            gap = float(thetas[1] - thetas[0])
-            if min_gap is not None and gap <= min_gap:
-                raise DegenerateGroundStateError(
-                    f"Ritz gap {gap:.3e} <= {min_gap:g} at iteration {it}"
-                )
-            if not converged:
-                ritz = y[:, 0] @ kept
-            break
-        prev_theta = theta
-        betas.append(beta)
-        if it + 1 < m_max:
-            vecs[it + 1] = w / beta
-    else:
-        ritz = y[:, 0] @ vecs
-        resid = np.linalg.norm(
-            apply_hamiltonian_to_array(basis, ritz, j_coupling) - theta * ritz
-        )
-        raise ConvergenceError(
-            f"Lanczos did not converge in {m_max} iterations", residual=float(resid)
-        )
-
-    ritz /= np.linalg.norm(ritz)
-    residual = float(
-        np.linalg.norm(apply_hamiltonian_to_array(basis, ritz, j_coupling) - theta * ritz)
+    start = np.random.default_rng(seed).standard_normal(dim)
+    thetas, ritz, steps, converged = lowest_ritz_pair(
+        matvec, start, _LANCZOS_TOL, _LANCZOS_MAX_STEPS
     )
-    if residual > 1e-10:
+    theta = float(thetas[0])
+    ritz /= np.linalg.norm(ritz)
+    residual = float(np.linalg.norm(matvec(ritz) - theta * ritz))
+    if not converged or residual > 1e-10:
         raise ConvergenceError(
-            f"Lanczos residual {residual:.3e} above 1e-10", residual=residual
+            f"Lanczos residual {residual:.3e} after {steps} iterations"
+            f" ({'converged' if converged else 'budget spent'}; bound 1e-10)",
+            residual=residual,
+        )
+    if len(thetas) < 2:
+        raise DegenerateGroundStateError(
+            "Krylov space closed at iteration 0; no gap can be measured"
+        )
+    gap = float(thetas[1] - thetas[0])
+    if min_gap is not None and gap <= min_gap:
+        raise DegenerateGroundStateError(
+            f"Ritz gap {gap:.3e} <= {min_gap:g} at iteration {steps - 1}"
         )
     ritz = _fix_sign(basis, ritz)
-    return GroundSolution(theta, Wavefunction(basis, ritz), residual, it + 1, gap)
+    return GroundSolution(theta, Wavefunction(basis, ritz), residual, steps, gap)
 
 
 def momentum_ground_state(n_sites, j_coupling=1.0, seed=0):

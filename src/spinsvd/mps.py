@@ -14,6 +14,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConditioningError
+from .lanczos import lowest_ritz_pair
 
 _SZ = np.diag([-0.5, 0.5])
 _SP = np.array([[0.0, 0.0], [1.0, 0.0]])  # <up|S+|down> = 1
@@ -26,15 +27,11 @@ _OPS = np.stack([_I2, _SZ, _SP, _SM])
 # near-singular).
 _NEFF_EPS = 1e-10
 _NEFF_CUTOFF = 1e-8
-# Local eigensolver (restarted Lanczos): a Ritz pair is accepted once its
-# residual is at most _RITZ_TOL times the largest Ritz value's magnitude. A
-# cycle keeps at most _KRYLOV_DIM vectors and checks the pair every
-# _RITZ_CHECK steps; _LANCZOS_MAX_STEPS matrix-vector products is the
-# budget. _START_MIX is the weight of the fixed vector added to the start.
+# Local eigensolver (Lanczos over the whole local space): a Ritz pair is
+# accepted once its residual is at most _RITZ_TOL times the largest Ritz
+# value's magnitude. _START_MIX is the weight of the fixed vector added to
+# the start.
 _RITZ_TOL = 1e-10
-_KRYLOV_DIM = 40
-_RITZ_CHECK = 8
-_LANCZOS_MAX_STEPS = 400
 _START_MIX = 1e-3
 
 
@@ -189,48 +186,21 @@ def energy(state, j_coupling=1.0):
 
 def _lowest_eigenpair(a, y0):
     """Lowest eigenpair (theta, y) of the symmetric matrix a and the number of
-    matrix-vector products, by restarted Lanczos with full
-    re-orthogonalization.
+    matrix-vector products, by `lanczos.lowest_ritz_pair`.
 
     The start is y0 plus _START_MIX of a fixed pseudo-random unit vector (the
     fixed vector alone when y0 = 0), so that an eigenvector orthogonal to y0
-    is still in reach. Raises ConditioningError when _LANCZOS_MAX_STEPS
-    products do not bring the Ritz residual down to _RITZ_TOL.
+    is still in reach. The step budget is the dimension, so the run always
+    ends converged: at _RITZ_TOL or on the whole space.
     """
     size = np.abs(a).max()
     a = a / size if size > 0 else a  # unit scale: no under- or overflow in the norms
     n = a.shape[0]
-    m = min(n, _KRYLOV_DIM)
     fixed = np.random.default_rng(0).standard_normal(n)
     norm0 = np.linalg.norm(y0)
-    y = _START_MIX * fixed / np.linalg.norm(fixed) + (y0 / norm0 if norm0 > 0 else 0.0)
-    y /= np.linalg.norm(y)
-    q = np.empty((m, n))
-    steps = 0
-    while steps < _LANCZOS_MAX_STEPS:
-        q[0] = y
-        alphas, betas = [], []
-        for j in range(m):
-            basis = q[: j + 1]
-            w = a @ q[j]
-            steps += 1
-            alphas.append(q[j] @ w)
-            scale = np.linalg.norm(w)
-            w -= basis.T @ (basis @ w)
-            w -= basis.T @ (basis @ w)
-            beta = np.linalg.norm(w)
-            if beta <= _RITZ_TOL * scale or j + 1 == m or (j + 1) % _RITZ_CHECK == 0:
-                tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-                thetas, s = np.linalg.eigh(tri)
-                y = s[:, 0] @ basis
-                if j + 1 == n or beta * abs(s[-1, 0]) <= _RITZ_TOL * np.abs(thetas).max():
-                    return float(thetas[0] * size), y, steps
-            if j + 1 < m:
-                q[j + 1] = w / beta
-                betas.append(beta)
-    raise ConditioningError(
-        f"local Lanczos did not reach residual {_RITZ_TOL:g} in {steps} steps"
-    )
+    start = _START_MIX * fixed / np.linalg.norm(fixed) + (y0 / norm0 if norm0 > 0 else 0.0)
+    thetas, y, steps, _ = lowest_ritz_pair(a.dot, start, _RITZ_TOL, n)
+    return float(thetas[0] * size), y, steps
 
 
 def _solve_site(heff, nenv, x_old):

@@ -234,6 +234,25 @@ def test_tiny_list_operator(configs):
     assert len(basis.hamiltonian[1].sources) == 0
 
 
+@pytest.mark.parametrize(
+    "configs,message",
+    [
+        # the 4-site sector reversed: unchecked, its operator had lowest eigenvalue -1, not -2
+        (np.array([12, 10, 9, 6, 5, 3]), "strictly increasing"),
+        (np.array([3, 5, 5, 6]), "strictly increasing"),
+        (np.array([3.0, 5.0]), "list of integers"),
+        (np.array([[3, 5], [6, 9]]), "list of integers"),
+        (np.array([-4, 3]), "outside the S_z = 0 sector"),
+        (np.array([3, 1 << 4 | 1]), "outside the S_z = 0 sector"),
+        (np.array([3, 7]), "outside the S_z = 0 sector"),
+    ],
+    ids=["reversed", "duplicate", "float", "2-d", "negative", "above-2^n", "popcount"],
+)
+def test_sector_basis_rejects_malformed_list(configs, message):
+    with pytest.raises(ValueError, match=message):
+        SectorBasis(4, 0, configs)
+
+
 def test_sparse_long_ring_list_builds_without_large_allocation():
     # a few configurations of a 40-site ring up to ~2^40: a direct index by
     # configuration would take terabytes

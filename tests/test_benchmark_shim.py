@@ -3,7 +3,9 @@
 benchmarks/traced_cli.py replaces package functions by module attribute
 (`cli.enumerate_sector`, `exact.lanczos_ground_state`, ...). A refactor
 that moves one of them makes the shim raise before the command runs; these
-tests run it on small commands so that such a move fails here too.
+tests run it on small commands so that such a move fails here too. The
+harness's smoke run covers the rest of what the benchmark calls: its set-up
+code and benchmarks/probe.py.
 """
 
 import json
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import spinsvd
 
-SHIM = Path(__file__).resolve().parents[1] / "benchmarks" / "traced_cli.py"
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+SHIM = BENCH / "traced_cli.py"
 SRC = str(Path(spinsvd.__file__).resolve().parents[1])
 
 
@@ -59,3 +62,8 @@ def test_traced_mps_solve(tmp_path):
         "mps.optimize_site",
         "cli.save_state",
     }
+
+
+def test_benchmark_smoke_run_passes():
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--smoke"], capture_output=True, text=True)
+    assert proc.returncode == 0 and "smoke test passed" in proc.stdout, proc.stdout + proc.stderr

@@ -11,7 +11,7 @@ from conftest import embed_in_full_space, kron_hamiltonian
 from spinsvd import exact
 from spinsvd.basis import dense_hamiltonian, enumerate_sector
 from spinsvd.corr import build_from_wavefunction, build_thermal
-from spinsvd.errors import DegenerateGroundStateError, InvalidSizeError
+from spinsvd.errors import ConvergenceError, DegenerateGroundStateError, InvalidSizeError
 from spinsvd.exact import (
     FullSpectrum,
     SectorSpectrum,
@@ -82,6 +82,14 @@ def test_closed_krylov_space_raises():
     # at J = 0 the start vector is an eigenvector: the space closes at iteration 0
     with pytest.raises(DegenerateGroundStateError, match="Krylov space closed"):
         lanczos_ground_state(enumerate_sector(6, 0), j_coupling=0.0)
+
+
+def test_step_budget_exhausted_raises_with_residual(monkeypatch):
+    # 4 steps cannot resolve the 924-state N = 12 sector's ground state
+    monkeypatch.setattr(exact, "_LANCZOS_MAX_STEPS", 4)
+    with pytest.raises(ConvergenceError, match="after 4 iterations .budget spent") as info:
+        lanczos_ground_state(enumerate_sector(12, 0))
+    assert np.isfinite(info.value.residual) and info.value.residual > 0
 
 
 @pytest.mark.parametrize("j_coupling", [1.0, -0.7])
