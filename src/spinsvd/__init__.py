@@ -8,9 +8,9 @@ modules it runs.
 import importlib
 
 _SOURCES = {
-    "basis": ["SectorBasis", "Wavefunction", "enumerate_sector", "apply_hamiltonian", "correlator_zz"],
+    "basis": ["SectorBasis", "Wavefunction", "enumerate_sector", "apply_hamiltonian"],
     "exact": ["GroundSolution", "FullSpectrum", "lanczos_ground_state", "full_spectrum"],
-    "mps": ["MpsState", "random_init", "energy", "optimize_site", "sweep_optimize", "mps_correlator_zz"],
+    "mps": ["MpsState", "random_init", "energy", "optimize_site", "sweep_optimize"],
     "corr": ["CorrelationMatrix", "build_from_wavefunction", "build_from_mps", "build_thermal"],
     "svd_analysis": [
         "SvdSpectrum",

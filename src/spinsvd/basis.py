@@ -379,12 +379,3 @@ def dense_hamiltonian(basis, j_coupling=1.0):
     h = np.diag(diagonal).astype(hops.values.dtype, copy=False)
     np.add.at(h, (hops.targets, hops.sources), hops.values)
     return j_coupling * h
-
-
-def correlator_zz(wf, i, j):
-    """<wf| Sz_i Sz_j |wf>; diagonal in the configuration basis."""
-    n = wf.basis.n_sites
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"site index out of range for n_sites={n}")
-    z = wf.basis.z_values()
-    return float(np.sum(wf.amps**2 * z[:, i] * z[:, j]))

@@ -2,9 +2,10 @@
 
 All numeric file outputs are deterministic: CSVs carry 17 significant
 digits, manifests are JSON with sorted keys, heatmaps are binary PGM.
-Exit codes: 0 success, 1 usage/input error, 2 numerical failure. A command
-creates --out only once it has a result to write, so a rejected or failed
-command leaves no directory behind.
+Exit codes: 0 success, 1 usage/input error (a request too large for memory
+included), 2 numerical failure; each failure prints one `error:` line and no
+traceback. A command creates --out only once it has a result to write, so a
+rejected or failed command leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -481,6 +482,9 @@ def main(argv=None):
         return 2
     except (InvalidSizeError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

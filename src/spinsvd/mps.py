@@ -90,14 +90,6 @@ def _combine(a, b):
     return _Block(a.p @ b.p, a.h @ b.p + a.p @ b.h + bond, a.left @ b.p, a.p @ b.right)
 
 
-def _ring_env(state, site):
-    """Block of the sites site+1 ... site-1 round the ring."""
-    env = None
-    for a in np.roll(state.tensors, -site - 1, axis=0)[:-1]:
-        env = _combine(env, _site_block(a))
-    return env
-
-
 def _sweep_envs(state):
     """Yield (k, environment of site k) for k = 0 ... N-1.
 
@@ -170,13 +162,14 @@ def random_init(n_sites, chi, seed=0):
 
 def norm_squared(state):
     """<psi|psi> = tr of the ring product of plain transfer matrices."""
-    plain = [_transfers(a, _OPS[:1])[0] for a in state.tensors]
+    plain = (_transfers(a, _OPS[:1])[0] for a in state.tensors)
     return float(np.trace(reduce(np.matmul, plain)))
 
 
 def energy(state, j_coupling=1.0):
-    """Rayleigh quotient <psi|H|psi>/<psi|psi>."""
-    heff, nenv = _site_matrices(_ring_env(state, 0), state.chi, j_coupling)
+    """Rayleigh quotient <psi|H|psi>/<psi|psi>, on the environment of site 0."""
+    _, env = next(_sweep_envs(state))
+    heff, nenv = _site_matrices(env, state.chi, j_coupling)
     x = state.tensors[0].reshape(-1)
     denom = _gram(x, nenv)
     if abs(denom) < 1e-300:
@@ -234,10 +227,13 @@ def optimize_site(state, site, j_coupling=1.0, env=None):
 
     Mutates state in place. The returned value is the new global Rayleigh
     quotient (equal to the generalized eigenvalue of the local problem).
-    env is the site's ring environment block; it is built when not given.
+    env is the site's ring environment block; when not given, the sweep's
+    environment generator is run up to the site.
     """
+    if not 0 <= site < state.n_sites:
+        raise IndexError(f"site {site} out of range for n_sites={state.n_sites}")
     if env is None:
-        env = _ring_env(state, site)
+        env = next(e for k, e in _sweep_envs(state) if k == site)
     heff, nenv = _site_matrices(env, state.chi, j_coupling)
     x_old = state.tensors[site].reshape(-1)
     e_old = float(x_old @ heff @ x_old) / _gram(x_old, nenv)
@@ -273,23 +269,6 @@ def sweep_optimize(state, j_coupling=1.0, n_sweeps=40):
     return state, reports
 
 
-def mps_correlator_zz(state, i, j):
-    """<Sz_i Sz_j> on the (not necessarily normalized) MPS."""
-    n = state.n_sites
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"site index out of range for n_sites={n}")
-    num = den = np.eye(state.chi**2)
-    for site, a in enumerate(state.tensors):
-        t, tz = _transfers(a, _OPS[:2])
-        # (Sz)^2 = identity/4
-        num = num @ (0.25 * t if i == j == site else tz if site in (i, j) else t)
-        den = den @ t
-    n2 = float(np.trace(den))
-    if abs(n2) < 1e-300:
-        raise ConditioningError("state norm vanishes")
-    return float(np.trace(num)) / n2
-
-
 def correlation_matrix(state):
     """All <Sz_i Sz_j> entries, using prefix products and closing factors.
 
@@ -297,14 +276,12 @@ def correlation_matrix(state):
     E_{j+1}..E_{N-1}; Y^T is precomputed per j and tr(X Y) = sum(X * Y^T).
     """
     n, d2 = state.n_sites, state.chi**2
-    e, ez = np.empty((2, n, d2, d2))
-    for m, a in enumerate(state.tensors):
-        e[m], ez[m] = _transfers(a, _OPS[:2])
-
+    e = np.empty((n, d2, d2))
     closing = [None] * n
     suffix = np.eye(d2)
     for m in range(n - 1, -1, -1):
-        closing[m] = np.ascontiguousarray((ez[m] @ suffix).T)
+        e[m], ez = _transfers(state.tensors[m], _OPS[:2])
+        closing[m] = np.ascontiguousarray((ez @ suffix).T)
         suffix = e[m] @ suffix
     n2 = float(np.trace(suffix))
     if abs(n2) < 1e-300:
@@ -314,7 +291,7 @@ def correlation_matrix(state):
     prefix = np.eye(d2)
     for i in range(n):
         out[i, i] = 0.25
-        left = prefix @ ez[i]
+        left = prefix @ _transfers(state.tensors[i], _OPS[1:2])[0]
         for j in range(i + 1, n):
             out[i, j] = out[j, i] = float(np.vdot(left, closing[j])) / n2
             left = left @ e[j]

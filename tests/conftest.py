@@ -47,6 +47,24 @@ def kron_hamiltonian(n_sites, j_coupling=1.0):
     return j_coupling * h
 
 
+def ring_env(state, site):
+    """Block of the sites site+1 ... site-1 round the ring, combined one site
+    at a time: the cache-free environment the sweep's cached blocks must match."""
+    env = None
+    for a in np.roll(state.tensors, -site - 1, axis=0)[:-1]:
+        env = mps._combine(env, mps._site_block(a))
+    return env
+
+
+def correlator_zz(wf, i, j):
+    """<wf| Sz_i Sz_j |wf>, one entry at a time; diagonal in the configuration basis."""
+    n = wf.basis.n_sites
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"site index out of range for n_sites={n}")
+    z = wf.basis.z_values()
+    return float(np.sum(wf.amps**2 * z[:, i] * z[:, j]))
+
+
 def embed_in_full_space(wf):
     """Sector wavefunction -> full 2^N amplitude vector."""
     psi = np.zeros(2**wf.basis.n_sites)

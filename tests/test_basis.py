@@ -9,14 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_hamiltonian
+from conftest import correlator_zz, kron_hamiltonian
 from spinsvd.basis import (
     MomentumBasis,
     SectorBasis,
     Wavefunction,
     apply_hamiltonian,
     apply_hamiltonian_to_array,
-    correlator_zz,
     dense_hamiltonian,
     enumerate_sector,
     momentum_block,

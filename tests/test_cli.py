@@ -67,6 +67,12 @@ def test_solve_rejects_oversized_ed(tmp_path, capsys):
     assert_rejected(["solve", "--method", "ed", "--n", "26"], tmp_path / "run", capsys)
 
 
+def test_solve_rejects_mps_too_large_for_memory(tmp_path, capsys):
+    # random_init asks for 90.9 PiB at once, refused before anything is written
+    argv = ["solve", "--method", "mps", "--n", "64", "--chi", "10000000"]
+    assert "Unable to allocate" in assert_rejected(argv, tmp_path / "run", capsys)
+
+
 def test_solve_ed_n24(tmp_path):
     solve_out, corr_out = tmp_path / "solve", tmp_path / "corr"
     assert run(["solve", "--method", "ed", "--n", "24", "--out", str(solve_out)]) == 0
@@ -332,15 +338,15 @@ def test_star_import_binds_the_public_names():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     public = [
-        "SectorBasis", "Wavefunction", "enumerate_sector", "apply_hamiltonian", "correlator_zz",
+        "SectorBasis", "Wavefunction", "enumerate_sector", "apply_hamiltonian",
         "GroundSolution", "FullSpectrum", "lanczos_ground_state", "full_spectrum",
-        "MpsState", "random_init", "energy", "optimize_site", "sweep_optimize", "mps_correlator_zz",
+        "MpsState", "random_init", "energy", "optimize_site", "sweep_optimize",
         "CorrelationMatrix", "build_from_wavefunction", "build_from_mps", "build_thermal",
         "SvdSpectrum", "ScalingFit", "eigendecompose", "component", "degeneracy_pairs",
         "dominant_wavenumber", "measure_domain_size", "fit_scaling", "kernel_reconstruct",
         "haar_transform",
     ]  # fmt: skip
-    assert len(public) == 29 and spinsvd.__all__ == public
+    assert len(public) == 27 and spinsvd.__all__ == public
     assert eval(proc.stdout) == sorted(public)
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import correlator_zz
 from spinsvd import four_site
-from spinsvd.basis import correlator_zz
 
 
 def test_ground_state_normalized():

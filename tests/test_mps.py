@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import ring_env
 from spinsvd import four_site
 from spinsvd import mps
 from spinsvd.basis import enumerate_sector
@@ -34,6 +35,21 @@ def _transfer(a, op=None):
             if op[sp, s] != 0.0:
                 out = out + op[sp, s] * np.kron(a[sp], a[s])
     return out
+
+
+def mps_correlator_zz(state, i, j):
+    """<Sz_i Sz_j> on the (not necessarily normalized) MPS, one entry from
+    one ring product of kron-built transfer matrices."""
+    n = state.n_sites
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"site index out of range for n_sites={n}")
+    num = den = np.eye(state.chi**2)
+    for site, a in enumerate(state.tensors):
+        t = _transfer(a)
+        # (Sz)^2 = identity/4
+        num = num @ (0.25 * t if i == j == site else _transfer(a, _SZ) if site in (i, j) else t)
+        den = den @ t
+    return float(np.trace(num)) / float(np.trace(den))
 
 
 def _transfer_set(state):
@@ -92,7 +108,7 @@ def ring_walk_site_matrices(ts, k, n_sites, chi, j_coupling):
 
 
 def assert_envs_match_ring_walk(state, j_coupling, tol, n_updates=0):
-    """Compare the sweep's cached environments, and the standalone one, with
+    """Compare the sweep's cached environments, and the cache-free ring_env, with
     the ring walk at every site (relative Frobenius), updating sites
     0 ... n_updates-1 on the way as a sweep does."""
 
@@ -103,7 +119,7 @@ def assert_envs_match_ring_walk(state, j_coupling, tol, n_updates=0):
         ref_h, ref_n = ring_walk_site_matrices(
             _transfer_set(state), k, state.n_sites, state.chi, j_coupling
         )
-        for e in (env, mps._ring_env(state, k)):
+        for e in (env, ring_env(state, k)):
             heff, nenv = mps._site_matrices(e, state.chi, j_coupling)
             assert rel(heff, ref_h) < tol, k
             assert rel(np.kron(_I2, nenv), ref_n) < tol, k
@@ -156,7 +172,7 @@ def test_chi1_energy_finite():
 def test_gauge_invariance():
     st = mps.random_init(6, 4, seed=3)
     e0 = mps.energy(st)
-    c00 = mps.mps_correlator_zz(st, 0, 2)
+    c00 = mps_correlator_zz(st, 0, 2)
     rng = np.random.default_rng(9)
     g = rng.standard_normal((4, 4)) + 2 * np.eye(4)
     ginv = np.linalg.inv(g)
@@ -165,7 +181,7 @@ def test_gauge_invariance():
         for s in range(2):
             transformed.tensors[i, s] = g @ st.tensors[i, s] @ ginv
     assert mps.energy(transformed) == pytest.approx(e0, abs=1e-9)
-    assert mps.mps_correlator_zz(transformed, 0, 2) == pytest.approx(c00, abs=1e-9)
+    assert mps_correlator_zz(transformed, 0, 2) == pytest.approx(c00, abs=1e-9)
 
 
 def test_single_update_lowers_energy():
@@ -182,9 +198,26 @@ def test_optimize_site_energy_matches_rayleigh():
     assert mps.energy(st) == pytest.approx(e_local, abs=1e-9)
 
 
+def test_energy_and_optimize_site_use_the_sweep_environments():
+    state = mps.random_init(8, 3, seed=2)
+    for k, env in mps._sweep_envs(state):
+        if k == 0:
+            heff, nenv = mps._site_matrices(env, state.chi, 1.0)
+            x = state.tensors[0].reshape(-1)
+            assert mps.energy(state) == float(x @ heff @ x) / mps._gram(x, nenv)
+        built, given = state.copy(), state.copy()
+        e_built = mps.optimize_site(built, k)
+        e_given = mps.optimize_site(given, k, env=env)
+        assert e_built == e_given, k
+        assert np.array_equal(built.tensors, given.tensors), k
+    for site in (-1, state.n_sites):
+        with pytest.raises(IndexError):
+            mps.optimize_site(state.copy(), site)
+
+
 def test_neff_is_psd_gram():
     st = mps.random_init(6, 4, seed=5)
-    _, nenv = mps._site_matrices(mps._ring_env(st, 1), 4, 1.0)
+    _, nenv = mps._site_matrices(ring_env(st, 1), 4, 1.0)
     evals = np.linalg.eigvalsh(nenv)
     assert evals[0] > -1e-10 * max(abs(evals[-1]), 1.0)
 
@@ -312,16 +345,16 @@ def test_variational_bound_small_chain():
 def test_correlator_diagonal(optimized_n4):
     state, _ = optimized_n4
     for i in range(4):
-        assert mps.mps_correlator_zz(state, i, i) == pytest.approx(0.25, abs=1e-10)
+        assert mps_correlator_zz(state, i, i) == pytest.approx(0.25, abs=1e-10)
     with pytest.raises(IndexError):
-        mps.mps_correlator_zz(state, 0, 4)
+        mps_correlator_zz(state, 0, 4)
 
 
 def test_n4_correlators_match_exact(optimized_n4):
     state, _ = optimized_n4
     for i in range(4):
         for j in range(4):
-            assert mps.mps_correlator_zz(state, i, j) == pytest.approx(
+            assert mps_correlator_zz(state, i, j) == pytest.approx(
                 four_site.CORRELATION[i, j], abs=1e-6
             )
 
@@ -332,7 +365,7 @@ def test_correlation_matrix_consistent(optimized_n4):
         for i in range(state.n_sites):
             for j in range(state.n_sites):
                 assert full[i, j] == pytest.approx(
-                    mps.mps_correlator_zz(state, i, j), abs=1e-12
+                    mps_correlator_zz(state, i, j), abs=1e-12
                 )
 
 
