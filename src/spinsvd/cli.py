@@ -21,7 +21,6 @@ import numpy as np
 # The solver and analysis modules are imported by the commands that use
 # them, so that each command loads only what it runs; calls go through their
 # module attributes.
-from .basis import MomentumBasis, Wavefunction, enumerate_sector
 from .errors import (
     ConditioningError,
     ConvergenceError,
@@ -35,15 +34,38 @@ STATE_FORMAT = "spinsvd-state-v2"
 STATE_FORMATS = ("spinsvd-state-v1", STATE_FORMAT)
 ED_CLI_CAP = 24
 
+# the ED state loader's basis names, bound here on first use (see __getattr__)
+_BASIS_NAMES = ("MomentumBasis", "Wavefunction", "enumerate_sector")
+
+
+def _bind_basis():
+    """Bind the basis names in this module, keeping any already set (a wrapper)."""
+    from . import basis
+
+    for name in _BASIS_NAMES:
+        globals().setdefault(name, getattr(basis, name))
+
+
+def __getattr__(name):
+    # PEP 562: cli.enumerate_sector and the other basis names stay module
+    # attributes, but only the ED paths import spinsvd.basis
+    if name in _BASIS_NAMES:
+        _bind_basis()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _fmt(x):
     return f"{float(x):.17g}"
 
 
 def write_matrix_csv(path, matrix):
+    """One line of 17-significant-digit values per row, as `_fmt` writes them."""
+    matrix = np.asarray(matrix, dtype=float)
+    row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in matrix.tolist():
+            fh.write(row_format % tuple(row))
 
 
 def read_matrix_csv(path):
@@ -201,6 +223,7 @@ def _finite_array(payload, name):
 
 def _ed_wavefunction(payload):
     """The checked wavefunction of an ED state: momentum block (v2) or sector (v1)."""
+    _bind_basis()
     n = _int_field(payload, "n_sites", 1)
     if n > ED_CLI_CAP:
         raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {n}")

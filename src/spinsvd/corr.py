@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MomentumBasis
-
 
 @dataclass(eq=False)
 class CorrelationMatrix:
@@ -72,6 +70,8 @@ def build_from_wavefunction(wf):
     exact circulant <Sz_0 Sz_r> = sum_a psi_a^2 (1/N) sum_i z_i z_{i+r} over
     the orbit representatives a; no full-sector vector is built.
     """
+    from .basis import MomentumBasis  # imported here: the MPS path never loads basis
+
     if wf.basis.sz_total != 0:
         warnings.warn(
             "wavefunction outside the S_z=0 sector: zero-row-sum invariant waived",

@@ -4,6 +4,8 @@ The one Lanczos loop of the package: the exact ground state (`exact`) and
 the local problem of each MPS site update (`mps`) both run it.
 """
 
+import math
+
 import numpy as np
 
 _CHECK_EVERY = 8  # Lanczos steps between tridiagonal eigensolves
@@ -25,16 +27,16 @@ def lowest_ritz_pair(matvec, start, tol, max_steps):
     n = len(start)
     m = min(max_steps, n)
     q = np.empty((m, n))
-    q[0] = start / np.linalg.norm(start)
+    q[0] = start / math.sqrt(start @ start)
     alphas, betas = [], []
     for j in range(m):
         kept = q[: j + 1]
         w = matvec(q[j])
         alphas.append(float(q[j] @ w))
-        scale = np.linalg.norm(w)
+        scale = math.sqrt(w @ w)
         w -= kept.T @ (kept @ w)
         w -= kept.T @ (kept @ w)
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(w @ w)
         if beta <= tol * scale or (j + 1) % _CHECK_EVERY == 0 or j + 1 == m:
             tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             thetas, s = np.linalg.eigh(tri)

@@ -9,7 +9,7 @@ one site's tensor, with all other tensors fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -61,33 +61,51 @@ class MpsState:
 
 @dataclass
 class _Block:
-    """Ring segment: plain transfer product p, sum h of its bonds (J = 1), and
-    products with Sz, S+, S- (stacked) at its first (left) or last (right) site."""
+    """Ring segment: plain transfer product p, sum h of its bonds (J = 1; None
+    for one site), and products with Sz, S+, S- (stacked) at its first (left)
+    or last (right) site."""
 
     p: np.ndarray
-    h: np.ndarray
+    h: np.ndarray | None
     left: np.ndarray | None
     right: np.ndarray
 
 
 def _transfers(a, ops=_OPS):
-    """Stacked sum_{s',s} O[s',s] kron(A^{s'}, A^s) for O in ops (I, Sz, S+, S-)."""
-    oa = np.einsum("ots,tab->osab", ops, a)
-    return np.einsum("osab,scd->oacbd", oa, a).reshape(len(ops), a[0].size, a[0].size)
+    """Stacked sum_{s',s} O[s',s] kron(A^{s'}, A^s) for O in ops (I, Sz, S+, S-).
+
+    Two matrix products: B[(o, s), ab] = sum_s' O[s', s] A^{s'}_ab, then
+    sum_s B[(o, s), ab] A^s_cd, whose (o, a, b, c, d) entries a transpose
+    regroups into rows (a, c) and columns (b, d).
+    """
+    k, chi = len(ops), a.shape[1]
+    flat = a.reshape(2, -1)
+    oa = np.swapaxes(ops, 1, 2).reshape(2 * k, 2) @ flat
+    t = oa.reshape(k, 2, -1).swapaxes(1, 2).reshape(-1, 2) @ flat
+    return t.reshape(k, chi, chi, chi, chi).transpose(0, 1, 3, 2, 4).reshape(k, chi * chi, chi * chi)
 
 
 def _site_block(a):
+    """Block of one site: its transfers, and h = None, as it holds no bond."""
     t = _transfers(a)
-    return _Block(t[0], np.zeros_like(t[0]), t[1:], t[1:])
+    return _Block(t[0], None, t[1:], t[1:])
 
 
 def _combine(a, b):
-    """Block of segment a followed by segment b; None is the empty segment."""
+    """Block of segment a followed by segment b; None is the empty segment.
+
+    A one-site segment has no bond sum (h is None), so its product term is
+    skipped.
+    """
     if a is None or b is None:
         return b if a is None else a
     (az, ap, am), (bz, bp, bm) = a.right, b.left
-    bond = az @ bz + 0.5 * (ap @ bm + am @ bp)
-    return _Block(a.p @ b.p, a.h @ b.p + a.p @ b.h + bond, a.left @ b.p, a.p @ b.right)
+    h = az @ bz + 0.5 * (ap @ bm + am @ bp)  # the bond that joins a and b
+    if b.h is not None:
+        h = a.p @ b.h + h
+    if a.h is not None:
+        h = a.h @ b.p + h
+    return _Block(a.p @ b.p, h, a.left @ b.p, a.p @ b.right)
 
 
 def _sweep_envs(state):
@@ -130,14 +148,27 @@ def _site_matrices(env, chi, j_coupling):
 
     env runs from the right neighbour round to the left one, so its left
     ends close the bond to the right and its right ends the bond to the left.
+    H_eff = sum_O O (x) G_O over O = I, Sz, S+, S-, so its four chi^2 x chi^2
+    blocks (s, t) are sums of the G_O with O[s, t] != 0.
     """
     d2 = chi * chi
-    ez, ep, em = env.left + env.right
-    g = np.stack([env.h, ez, 0.5 * em, 0.5 * ep, env.p])
-    # ring environment (b'b, a'a) -> matrix on the site vector (a'b', ab)
-    g = g.reshape(5, chi, chi, chi, chi).transpose(0, 3, 1, 4, 2).reshape(5, d2, d2)
-    heff = j_coupling * np.einsum("ost,oab->satb", _OPS, g[:4]).reshape(2 * d2, 2 * d2)
-    return 0.5 * (heff + heff.T), 0.5 * (g[4] + g[4].T)
+
+    def site_op(g):  # ring environment (b'b, a'a) -> matrix on the site vector (a'b', ab)
+        return g.reshape(chi, chi, chi, chi).transpose(2, 0, 3, 1).reshape(d2, d2)
+
+    (lz, lp, lm), (rz, rp, rm) = env.left, env.right
+    bonds = 0.0 if env.h is None else site_op(env.h)  # N = 2: a one-site env holds no bond
+    z = 0.5 * site_op(lz + rz)
+    up = j_coupling * site_op(0.5 * (lm + rm))  # block (1, 0): S+ = |1><0|
+    down = j_coupling * site_op(0.5 * (lp + rp))  # block (0, 1): S- = |0><1|
+    diag0, diag1 = j_coupling * (bonds - z), j_coupling * (bonds + z)
+    heff = np.empty((2 * d2, 2 * d2))  # 0.5 (H + H^T), block by block
+    heff[:d2, :d2] = 0.5 * (diag0 + diag0.T)
+    heff[d2:, d2:] = 0.5 * (diag1 + diag1.T)
+    heff[d2:, :d2] = 0.5 * (up + down.T)
+    heff[:d2, d2:] = heff[d2:, :d2].T
+    gram = site_op(env.p)
+    return heff, 0.5 * (gram + gram.T)
 
 
 def _gram(x, nenv):
@@ -177,6 +208,16 @@ def energy(state, j_coupling=1.0):
     return float(x @ heff @ x) / denom
 
 
+@cache
+def _fixed_start(n):
+    """_START_MIX times a fixed pseudo-random unit vector of length n, drawn
+    once per length (n <= 2 chi^2 in a sweep) and read-only."""
+    fixed = np.random.default_rng(0).standard_normal(n)
+    start = _START_MIX * fixed / np.linalg.norm(fixed)
+    start.flags.writeable = False
+    return start
+
+
 def _lowest_eigenpair(a, y0):
     """Lowest eigenpair (theta, y) of the symmetric matrix a and the number of
     matrix-vector products, by `lanczos.lowest_ritz_pair`.
@@ -189,9 +230,8 @@ def _lowest_eigenpair(a, y0):
     size = np.abs(a).max()
     a = a / size if size > 0 else a  # unit scale: no under- or overflow in the norms
     n = a.shape[0]
-    fixed = np.random.default_rng(0).standard_normal(n)
     norm0 = np.linalg.norm(y0)
-    start = _START_MIX * fixed / np.linalg.norm(fixed) + (y0 / norm0 if norm0 > 0 else 0.0)
+    start = _fixed_start(n) + (y0 / norm0 if norm0 > 0 else 0.0)
     thetas, y, steps, _ = lowest_ritz_pair(a.dot, start, _RITZ_TOL, n)
     return float(thetas[0] * size), y, steps
 
@@ -200,9 +240,10 @@ def _solve_site(heff, nenv, x_old):
     """Lowest generalized eigenpair on the well-conditioned Gram subspace.
 
     N_eff = I_2 (x) nenv, so eigh runs on nenv and W = I_2 (x) W_env. The
-    projected matrix is assembled from the four chi^2 blocks
-    W_env^T H_ss' W_env, and Lanczos starts from x_old's coordinates
-    D^(1/2) V^T x_old. Returns the site vector and the Lanczos steps.
+    projected matrix is assembled from the chi^2 blocks W_env^T H_ss' W_env
+    of H_00, H_11 and H_10 (H_01 = H_10^T), and Lanczos starts from x_old's
+    coordinates D^(1/2) V^T x_old. Returns the site vector and the Lanczos
+    steps.
     """
     dim = nenv.shape[0]
     shift = _NEFF_EPS * np.trace(nenv) / dim
@@ -215,10 +256,13 @@ def _solve_site(heff, nenv, x_old):
     root = np.sqrt(d[keep])
     w = v[:, keep] / root
     m = w.shape[1]
-    blocks = w.T @ heff.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3) @ w
-    ht = blocks.transpose(0, 2, 1, 3).reshape(2 * m, 2 * m)
+    h00, h11 = w.T @ heff[:dim, :dim] @ w, w.T @ heff[dim:, dim:] @ w
+    ht = np.empty((2 * m, 2 * m))
+    ht[:m, :m], ht[m:, m:] = 0.5 * (h00 + h00.T), 0.5 * (h11 + h11.T)
+    ht[m:, :m] = w.T @ heff[dim:, :dim] @ w
+    ht[:m, m:] = ht[m:, :m].T  # heff is symmetric, so H_01 = H_10^T
     y0 = (x_old.reshape(2, dim) @ v[:, keep]) * root
-    _, y, steps = _lowest_eigenpair(0.5 * (ht + ht.T), y0.reshape(-1))
+    _, y, steps = _lowest_eigenpair(ht, y0.reshape(-1))
     return (y.reshape(2, m) @ w.T).reshape(-1), steps
 
 
@@ -288,12 +332,15 @@ def correlation_matrix(state):
         raise ConditioningError("state norm vanishes")
 
     out = np.empty((n, n))
+    np.fill_diagonal(out, 0.25)
     prefix = np.eye(d2)
-    for i in range(n):
-        out[i, i] = 0.25
-        left = prefix @ _transfers(state.tensors[i], _OPS[1:2])[0]
+    left, spare = np.empty((d2, d2)), np.empty((d2, d2))  # X for j and j + 1
+    for i in range(n - 1):
+        np.matmul(prefix, _transfers(state.tensors[i], _OPS[1:2])[0], out=left)
         for j in range(i + 1, n):
             out[i, j] = out[j, i] = float(np.vdot(left, closing[j])) / n2
-            left = left @ e[j]
+            if j + 1 < n:
+                np.matmul(left, e[j], out=spare)
+                left, spare = spare, left
         prefix = prefix @ e[i]
     return out

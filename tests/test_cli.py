@@ -323,14 +323,31 @@ def test_analyze_loads_no_solver(tmp_path, ground_n12):
     code = f"from spinsvd import cli\nassert cli.main({argv + ['--out', str(tmp_path / 'an')]!r}) == 0"
     loaded = loaded_submodules(code)
     assert "spinsvd.svd_analysis" in loaded
-    assert "spinsvd.mps" not in loaded and "spinsvd.exact" not in loaded
+    assert not {"spinsvd.mps", "spinsvd.exact", "spinsvd.basis"} & set(loaded)
 
 
 def test_solve_mps_loads_neither_ed_nor_corr(tmp_path):
     argv = ["solve", "--method", "mps", "--n", "8", "--chi", "3", "--sweeps", "1", "--out", str(tmp_path)]
     loaded = loaded_submodules(f"from spinsvd import cli\nassert cli.main({argv!r}) == 0")
     assert "spinsvd.mps" in loaded
-    assert "spinsvd.exact" not in loaded and "spinsvd.corr" not in loaded
+    assert not {"spinsvd.exact", "spinsvd.corr", "spinsvd.basis"} & set(loaded)
+
+
+def test_mps_corr_loads_no_ed_code(tmp_path):
+    solve = ["solve", "--method", "mps", "--n", "8", "--chi", "3", "--sweeps", "1"]
+    assert run(solve + ["--out", str(tmp_path / "s")]) == 0
+    argv = ["corr", "--state", str(tmp_path / "s" / "state.json"), "--out", str(tmp_path / "c")]
+    loaded = loaded_submodules(f"from spinsvd import cli\nassert cli.main({argv!r}) == 0")
+    assert {"spinsvd.mps", "spinsvd.corr"} <= set(loaded)
+    assert not {"spinsvd.exact", "spinsvd.basis"} & set(loaded)
+
+
+def test_basis_names_stay_cli_attributes():
+    code = "from spinsvd import basis, cli\nassert cli.enumerate_sector is basis.enumerate_sector"
+    code += "\nassert (cli.MomentumBasis, cli.Wavefunction) == (basis.MomentumBasis, basis.Wavefunction)"
+    assert "spinsvd.basis" in loaded_submodules(code)
+    with pytest.raises(AttributeError):
+        cli.no_such_name
 
 
 def test_star_import_binds_the_public_names():
@@ -447,6 +464,17 @@ def test_matrix_csv_round_trip_is_exact(tmp_path_factory, square):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     cli.write_matrix_csv(path, matrix)
     assert cli.read_matrix_csv(path).tobytes() == matrix.tobytes()
+
+
+def test_matrix_csv_bytes_match_per_value_format(tmp_path):
+    def per_value(matrix):  # the writer's former per-value formatting, the oracle
+        return "".join(",".join(f"{float(x):.17g}" for x in row) + "\n" for row in matrix)
+
+    values = [-0.0, 5e-324, 1e-300, 3.0, 0.25, -1 / 3]
+    n64 = np.random.default_rng(3).standard_normal((64, 64)) * np.logspace(-300, 300, 64)
+    for matrix in (np.array([values]), np.array(values).reshape(2, 3), n64):
+        cli.write_matrix_csv(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.csv").read_bytes() == per_value(matrix).encode()
 
 
 def test_oracle4_stdout(capsys):

@@ -140,6 +140,35 @@ def optimized_n4():
     return state, reports
 
 
+@pytest.mark.parametrize("chi", [1, 3, 10])
+def test_transfers_match_kron_oracle(chi):
+    a = np.random.default_rng(chi).standard_normal((2, chi, chi))
+    oracle = np.stack([_transfer(a, op) for op in (_I2, _SZ, _SP, _SM)])
+    for ops in (slice(None), slice(1), slice(2), slice(1, None), slice(1, 2)):
+        got, want = mps._transfers(a, mps._OPS[ops]), oracle[ops]
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), ops
+
+
+def test_combine_with_one_site_is_the_explicit_products():
+    # a one-site block holds no bond (h is None), so _combine skips its product
+    # with h; the explicit products with a zero h give the same bits
+    def explicit(a, b):
+        ah, bh = (np.zeros_like(x.p) if x.h is None else x.h for x in (a, b))
+        (az, ap, am), (bz, bp, bm) = a.right, b.left
+        h = ah @ b.p + a.p @ bh + (az @ bz + 0.5 * (ap @ bm + am @ bp))
+        return a.p @ b.p, h, a.left @ b.p, a.p @ b.right
+
+    state = mps.random_init(6, 3, seed=8)
+    seg = ring_env(state, 5)  # sites 0 ... 4
+    sites = [mps._site_block(a) for a in state.tensors[4:]]
+    assert sites[0].h is None
+    for a, b in ((seg, sites[1]), (sites[1], seg), (sites[0], sites[1])):
+        got = mps._combine(a, b)
+        for x, y in zip((got.p, got.h, got.left, got.right), explicit(a, b)):
+            assert np.array_equal(x, y)
+
+
 def test_random_init_deterministic():
     a = mps.random_init(6, 3, seed=42)
     b = mps.random_init(6, 3, seed=42)
