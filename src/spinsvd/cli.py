@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -95,12 +96,14 @@ def write_pgm(path, matrix):
         fh.write(img.tobytes())
 
 
+def _json_text(payload):
+    """Indented JSON with sorted keys and a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def write_manifest(path, payload):
-    payload = dict(payload)
-    payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    payload = {**payload, "timestamp": datetime.now(timezone.utc).isoformat()}
+    Path(path).write_text(_json_text(payload))
 
 
 def save_state(path, payload):
@@ -339,20 +342,7 @@ def _cmd_analyze(args):
     if args.fit:
         fit = svd_analysis.fit_scaling(spec)
         fit_path = out / "fit.json"
-        with open(fit_path, "w") as fh:
-            json.dump(
-                {
-                    "power": fit.power,
-                    "amplitude": fit.amplitude,
-                    "r_squared": fit.r_squared,
-                    "uses_exp_cutoff": fit.uses_exp_cutoff,
-                    "fit_set": fit.fit_set,
-                },
-                fh,
-                sort_keys=True,
-                indent=2,
-            )
-            fh.write("\n")
+        fit_path.write_text(_json_text(asdict(fit)))
         artifacts.append(fit_path.name)
 
     if args.domains:
@@ -394,14 +384,14 @@ def _cmd_analyze(args):
 def _cmd_oracle4(args):
     from . import four_site
 
-    text = json.dumps(four_site.as_json_dict(), sort_keys=True, indent=2)
+    text = _json_text(four_site.as_json_dict())
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         path = Path(args.out) / "oracle4.json"
-        path.write_text(text + "\n")
+        path.write_text(text)
         print(f"reference values -> {path}")
     else:
-        print(text)
+        print(text, end="")
     return 0
 
 

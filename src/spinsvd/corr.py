@@ -14,9 +14,6 @@ class CorrelationMatrix:
     entries: np.ndarray  # symmetric, PSD
     provenance: str  # "ed-ground" | "mps" | "thermal(beta=...)"
 
-    def trace(self):
-        return float(np.trace(self.entries))
-
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.entries)[0])
 
@@ -92,7 +89,7 @@ def build_from_mps(state):
     """Correlation matrix of an (optimized) periodic MPS."""
     from . import mps as mps_mod  # imported here: the ED and thermal paths never load it
 
-    s = _mirror(mps_mod.correlation_matrix(state))
+    s = mps_mod.correlation_matrix(state)  # written symmetric, entry by entry
     return CorrelationMatrix(state.n_sites, s, "mps")
 
 

@@ -36,17 +36,19 @@ _START_MIX = 1e-3
 
 
 @dataclass
+class SiteUpdate:
+    energy: float  # global Rayleigh quotient after the update
+    steps: int  # Lanczos steps of the local solve
+    rejected: bool  # the monotonic guard kept the old tensor
+
+
+@dataclass
 class SweepReport:
     sweep_index: int
     energy: float
     energy_change: float
-    guard_rejects: int = 0  # sites where the monotonic guard kept the old tensor
-    local_iterations: int = 0  # Lanczos steps of the local solves
-
-
-# optimize_site returns only the energy, so it adds its guard rejections and
-# Lanczos steps here; sweep_optimize zeroes them at the start of each sweep
-_site_counts = {"guard_rejects": 0, "local_iterations": 0}
+    guard_rejects: int  # sites where the monotonic guard kept the old tensor
+    local_iterations: int  # Lanczos steps of the local solves
 
 
 @dataclass(eq=False)
@@ -267,9 +269,9 @@ def _solve_site(heff, nenv, x_old):
 
 
 def optimize_site(state, site, j_coupling=1.0, env=None):
-    """Replace one site tensor by the locally optimal one; returns energy.
+    """Replace one site tensor by the locally optimal one; returns a SiteUpdate.
 
-    Mutates state in place. The returned value is the new global Rayleigh
+    Mutates state in place. The update's energy is the new global Rayleigh
     quotient (equal to the generalized eigenvalue of the local problem).
     env is the site's ring environment block; when not given, the sweep's
     environment generator is run up to the site.
@@ -282,7 +284,6 @@ def optimize_site(state, site, j_coupling=1.0, env=None):
     x_old = state.tensors[site].reshape(-1)
     e_old = float(x_old @ heff @ x_old) / _gram(x_old, nenv)
     x, steps = _solve_site(heff, nenv, x_old)
-    _site_counts["local_iterations"] += steps
     n2 = _gram(x, nenv)
     if not np.isfinite(n2) or n2 <= 0:
         raise ConditioningError(f"updated site has non-positive norm {n2:.3e}")
@@ -290,26 +291,27 @@ def optimize_site(state, site, j_coupling=1.0, env=None):
     if e_new >= e_old:
         # the projected subspace can miss part of the current tensor when
         # Gram directions are discarded; never accept an energy rise
-        _site_counts["guard_rejects"] += 1
-        return e_old
+        return SiteUpdate(e_old, steps, True)
     state.tensors[site] = (x / np.sqrt(n2)).reshape(2, state.chi, state.chi)
-    return e_new
+    return SiteUpdate(e_new, steps, False)
 
 
 def sweep_optimize(state, j_coupling=1.0, n_sweeps=40):
-    """Sequential site-by-site optimization, n_sweeps full forward passes."""
+    """Sequential site-by-site optimization, n_sweeps full forward passes.
+
+    Returns the optimized copy and one SweepReport per sweep, which sums the
+    guard rejections and Lanczos steps of that sweep's SiteUpdates.
+    """
     if n_sweeps < 1:
         raise ValueError(f"n_sweeps must be >= 1, got {n_sweeps}")
     state = state.copy()
     reports = []
-    prev_energy = np.inf
     for sweep in range(n_sweeps):
-        _site_counts.update(guard_rejects=0, local_iterations=0)
-        for site, env in _sweep_envs(state):
-            e_sweep = optimize_site(state, site, j_coupling, env)
-        change = e_sweep - prev_energy if np.isfinite(prev_energy) else np.nan
-        reports.append(SweepReport(sweep, e_sweep, change, **_site_counts))
-        prev_energy = e_sweep
+        updates = [optimize_site(state, site, j_coupling, env) for site, env in _sweep_envs(state)]
+        e_sweep = updates[-1].energy
+        change = e_sweep - reports[-1].energy if reports else np.nan
+        rejects, steps = sum(u.rejected for u in updates), sum(u.steps for u in updates)
+        reports.append(SweepReport(sweep, e_sweep, change, rejects, steps))
     return state, reports
 
 

@@ -299,6 +299,13 @@ def test_sector_lanczos_imports_no_scipy():
     )
 
 
+def test_kernel_reconstruct_imports_no_scipy():
+    assert_imports_no_scipy(
+        "from spinsvd.svd_analysis import kernel_reconstruct\n"
+        "kernel_reconstruct(256, range(32, 129, 8))"
+    )
+
+
 def loaded_submodules(code):
     """The spinsvd submodules that code loads in a fresh interpreter."""
     code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('spinsvd.')))\n"

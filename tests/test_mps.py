@@ -1,6 +1,9 @@
 """Periodic MPS: initialization, energy, local updates, sweeps, correlators."""
 
+import sys
+import threading
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -217,13 +220,13 @@ def test_single_update_lowers_energy():
     for seed in (0, 1, 2):
         st = mps.random_init(6, 3, seed=seed)
         e0 = mps.energy(st)
-        e1 = mps.optimize_site(st, 0)
+        e1 = mps.optimize_site(st, 0).energy
         assert e1 < e0
 
 
 def test_optimize_site_energy_matches_rayleigh():
     st = mps.random_init(6, 3, seed=4)
-    e_local = mps.optimize_site(st, 2)
+    e_local = mps.optimize_site(st, 2).energy
     assert mps.energy(st) == pytest.approx(e_local, abs=1e-9)
 
 
@@ -284,9 +287,10 @@ def test_sweep_report_counts_guard_rejects_and_local_steps(monkeypatch):
 
     def counted_site(state, site, *args):
         old = state.tensors[site].copy()
-        energy = optimize_site(state, site, *args)
+        update = optimize_site(state, site, *args)
         kept.append(np.array_equal(state.tensors[site], old))
-        return energy
+        assert (update.rejected, update.steps) == (kept[-1], steps[-1])
+        return update
 
     def counted_lowest(*args):
         result = lowest(*args)
@@ -301,6 +305,34 @@ def test_sweep_report_counts_guard_rejects_and_local_steps(monkeypatch):
         sweep = slice(r.sweep_index * n, (r.sweep_index + 1) * n)
         assert r.guard_rejects == sum(kept[sweep])
         assert r.local_iterations == sum(steps[sweep]) > 0
+
+
+def test_concurrent_sweeps_report_their_own_counts():
+    # two sweeps in two threads: each report must equal the run done alone
+    inits = [mps.random_init(16, 6, seed=seed) for seed in (0, 1)]
+    alone = [mps.sweep_optimize(s, n_sweeps=3) for s in inits]
+    together = [None, None]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        barrier.wait()
+        together[i] = mps.sweep_optimize(inits[i], n_sweeps=3)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (state, reports), (state_alone, reports_alone) in zip(together, alone):
+        # astuple: the first energy_change is NaN, which assert_equal matches
+        np.testing.assert_equal([astuple(r) for r in reports], [astuple(r) for r in reports_alone])
+        assert np.array_equal(state.tensors, state_alone.tensors)
 
 
 def assert_lowest_eigenpair(a, y0):

@@ -231,3 +231,5 @@ def test_haar_invertible_and_norm_preserving(ground_n8):
 def test_haar_invalid_levels():
     with pytest.raises(ValueError):
         sa.haar_matrix(8, 4)
+    with pytest.raises(ValueError):
+        sa.haar_matrix(0)  # no depth fits the empty matrix
