@@ -42,6 +42,17 @@ class _ConfigList:
             raise KeyError(f"configuration {config:#x} not in sector")
         return pos
 
+    def _check_list(self, noun):
+        """Raise ValueError unless configs is a strictly increasing int64 list of
+        the S_z sector's configurations; noun names an entry in the messages."""
+        n, configs, sz = self.n_sites, self.configs, self.sz_total
+        if configs.ndim != 1 or configs.dtype != np.int64:
+            raise ValueError(f"{noun}s must be a list of integers")
+        if np.any(np.diff(configs) <= 0):
+            raise ValueError(f"{noun}s must be strictly increasing")
+        if np.any((configs < 0) | (configs >> n != 0) | (_popcount(configs, n) != n // 2 + sz)):
+            raise ValueError(f"{noun} outside the S_z = {sz} sector of {n} sites")
+
     def z_values(self):
         """(dim, n_sites) array of S^z eigenvalues (+-1/2) per site."""
         shifts = np.arange(self.n_sites, dtype=np.int64)
@@ -146,14 +157,8 @@ class SectorBasis(_ConfigList):
     configs: np.ndarray  # int64, strictly increasing
 
     def __post_init__(self):
-        n, configs, sz = self.n_sites, self.configs, self.sz_total
-        check_ring_size(n)
-        if configs.ndim != 1 or configs.dtype != np.int64:
-            raise ValueError("configurations must be a list of integers")
-        if np.any(np.diff(configs) <= 0):
-            raise ValueError("configurations must be strictly increasing")
-        if np.any((configs < 0) | (configs >> n != 0) | (_popcount(configs, n) != n // 2 + sz)):
-            raise ValueError(f"configuration outside the S_z = {sz} sector of {n} sites")
+        check_ring_size(self.n_sites)
+        self._check_list("configuration")
 
     @cached_property
     def hamiltonian(self):
@@ -239,16 +244,11 @@ class MomentumBasis(_ConfigList):
     def __post_init__(self):
         if self.orbits is not None:
             return
-        n, reps, sz = self.n_sites, self.configs, self.sz_total
+        n, reps = self.n_sites, self.configs
         check_ring_size(n)
         if not 0 <= self.momentum < n:
             raise ValueError(f"momentum must lie in 0..{n - 1}, got {self.momentum!r}")
-        if reps.ndim != 1 or reps.dtype != np.int64:
-            raise ValueError("representatives must be a list of integers")
-        if np.any(np.diff(reps) <= 0):
-            raise ValueError("representatives must be strictly increasing")
-        if np.any((reps < 0) | (reps >> n != 0) | (_popcount(reps, n) != n // 2 + sz)):
-            raise ValueError(f"representative outside the S_z = {sz} sector of {n} sites")
+        self._check_list("representative")
         if np.any(_orbit_min(reps, n)[0] != reps):
             raise ValueError("configuration is not the smallest of its translation orbit")
         if np.any(self.momentum * _periods(reps, n) % n):
@@ -341,13 +341,6 @@ def enumerate_sector(n_sites, sz_total=0):
             }
         configs = c[n_up]
     return SectorBasis(n_sites, sz_total, configs)
-
-
-def momentum_block(n_sites, k_over_pi):
-    """The S_z = 0 block of momentum k_over_pi * pi, one state per orbit."""
-    if k_over_pi not in (0, 1):
-        raise ValueError(f"k_over_pi must be 0 or 1, got {k_over_pi!r}")
-    return translation_orbits(enumerate_sector(n_sites, 0)).block(k_over_pi * n_sites // 2)
 
 
 def neel_config(n_sites):

@@ -115,7 +115,7 @@ def save_state(path, payload):
 def load_state(path):
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") not in STATE_FORMATS:
+    if type(payload) is not dict or payload.get("format") not in STATE_FORMATS:
         raise ValueError(f"unrecognized state format in {path}")
     return payload
 
@@ -350,12 +350,9 @@ def _cmd_analyze(args):
         with open(dom_path, "w") as fh:
             fh.write("n,k,L,wall_count\n")
             for n in range(1, n_sites + 1):
-                try:
-                    d = svd_analysis.measure_domain_size(
-                        spec.vectors[:, n - 1], n=n, threshold=args.domain_threshold
-                    )
-                except ValueError:
-                    continue
+                d = svd_analysis.measure_domain_size(
+                    spec.vectors[:, n - 1], n=n, threshold=args.domain_threshold
+                )
                 fh.write(f"{n},{_fmt(d.wavenumber)},{_fmt(d.domain_size)},{d.wall_count}\n")
         artifacts.append(dom_path.name)
 

@@ -22,13 +22,9 @@ class CorrelationMatrix:
 
     def circulant_deviation(self):
         """Largest |S_ij - S_kl| over pairs with equal (i-j) mod N."""
-        n = self.n_sites
-        dev = 0.0
-        first = self.entries[0]
-        for i in range(n):
-            row = np.roll(self.entries[i], -i)
-            dev = max(dev, float(np.max(np.abs(row - first))))
-        return dev
+        sites = np.arange(self.n_sites)
+        rolled = self.entries[sites[:, None], (sites[:, None] + sites) % self.n_sites]
+        return float(np.max(np.abs(rolled - rolled[0])))
 
     def validate(self):
         """Raise on violation of the structural invariants."""

@@ -37,7 +37,7 @@ class GroundSolution:
     wf: Wavefunction
     residual_norm: float
     iterations: int
-    gap: float | None = None  # lowest Ritz gap; None when nothing was iterated
+    gap: float | None  # lowest Ritz gap; None on a one-state basis
 
 
 @dataclass
@@ -64,30 +64,13 @@ class FullSpectrum:
         levels = [np.repeat(s.energies, s.multiplicity) for s in self.sectors]
         return np.sort(np.concatenate(levels))
 
-    def partition_function(self, beta, shift=None):
-        """tr e^{-beta(H - shift)}; shift defaults to the ground energy."""
-        e = self.energies
-        if shift is None:
-            shift = e[0]
-        return float(np.sum(np.exp(-beta * (e - shift))))
-
 
 def _fix_sign(basis, vec):
-    """Make the Neel amplitude (or largest-magnitude entry) positive."""
-    pivot = None
-    if basis.sz_total == 0:
-        cfg = neel_config(basis.n_sites)
-        try:
-            k = basis.index_of(cfg)
-            if abs(vec[k]) > 1e-12:
-                pivot = k
-        except KeyError:
-            pivot = None
-    if pivot is None:
-        pivot = int(np.argmax(np.abs(vec)))
-    if vec[pivot] < 0:
-        vec = -vec
-    return vec
+    """Make the Neel amplitude positive, or the largest-magnitude entry when the
+    basis lacks the Neel configuration or its amplitude is below 1e-12."""
+    neel = np.flatnonzero(basis.configs == neel_config(basis.n_sites))
+    pivot = neel[0] if len(neel) and abs(vec[neel[0]]) > 1e-12 else np.argmax(np.abs(vec))
+    return -vec if vec[pivot] < 0 else vec
 
 
 def lanczos_ground_state(basis, j_coupling=1.0, seed=0, min_gap=1e-8):
@@ -101,16 +84,12 @@ def lanczos_ground_state(basis, j_coupling=1.0, seed=0, min_gap=1e-8):
     required (even-N rings have a unique S_z=0 ground state; anything else
     is a usage error); min_gap=None leaves the check to the caller, which
     reads `gap`. A Krylov space that closes before a second Ritz value
-    exists measures no gap and always raises.
+    exists measures no gap and raises, unless the basis holds one state: its
+    one step is exact and `gap` is None.
     """
     dim = basis.dim
     if dim == 0:
         raise ValueError("empty sector basis")
-    if dim == 1:
-        amps = np.ones(1)
-        e = float(apply_hamiltonian_to_array(basis, amps, j_coupling)[0])
-        wf = Wavefunction(basis, amps)
-        return GroundSolution(e, wf, 0.0, 0)
 
     def matvec(v):  # the module attribute, so that a wrapped one is called
         return apply_hamiltonian_to_array(basis, v, j_coupling)
@@ -128,12 +107,12 @@ def lanczos_ground_state(basis, j_coupling=1.0, seed=0, min_gap=1e-8):
             f" ({'converged' if converged else 'budget spent'}; bound 1e-10)",
             residual=residual,
         )
-    if len(thetas) < 2:
+    if dim > 1 and len(thetas) < 2:
         raise DegenerateGroundStateError(
             "Krylov space closed at iteration 0; no gap can be measured"
         )
-    gap = float(thetas[1] - thetas[0])
-    if min_gap is not None and gap <= min_gap:
+    gap = float(thetas[1] - thetas[0]) if dim > 1 else None
+    if min_gap is not None and dim > 1 and gap <= min_gap:
         raise DegenerateGroundStateError(
             f"Ritz gap {gap:.3e} <= {min_gap:g} at iteration {steps - 1}"
         )

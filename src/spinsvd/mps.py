@@ -9,7 +9,7 @@ one site's tensor, with all other tensors fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -179,24 +179,38 @@ def _gram(x, nenv):
 
 
 def random_init(n_sites, chi, seed=0):
-    """Random MPS with nonzero norm; identical tensors for identical seeds."""
+    """Random MPS of unit norm, drawn once from the seed; identical tensors for
+    identical seeds."""
     if chi < 1:
         raise ValueError("chi must be >= 1")
-    for attempt in range(8):
-        rng = np.random.default_rng(seed + attempt)
-        tensors = rng.standard_normal((n_sites, 2, chi, chi)) / np.sqrt(chi)
-        state = MpsState(n_sites, chi, tensors)
-        n2 = norm_squared(state)
-        if np.isfinite(n2) and n2 > 1e-300:
-            state.tensors *= n2 ** (-0.5 / n_sites)
-            return state
-    raise RuntimeError("could not draw a finite-norm random MPS in 8 attempts")
+    tensors = np.random.default_rng(seed).standard_normal((n_sites, 2, chi, chi)) / np.sqrt(chi)
+    state = MpsState(n_sites, chi, tensors)
+    trace, exponent = _ring_trace(state)
+    if not (np.isfinite(trace) and trace > 0):
+        raise ConditioningError(f"random MPS norm vanishes (trace {trace:.3e} * 2^{exponent})")
+    state.tensors *= trace ** (-0.5 / n_sites) * 2.0 ** (-exponent / (2 * n_sites))
+    return state
+
+
+def _ring_trace(state):
+    """(t, e) with <psi|psi> = t 2^e: the trace of the ring product of plain
+    transfer matrices, whose running product is divided by 2^k whenever its
+    largest entry reaches 2^k with |k| > 256, so that long rings neither
+    over- nor underflow."""
+    product, exponent = None, 0
+    for a in state.tensors:
+        plain = _transfers(a, _OPS[:1])[0]
+        product = plain if product is None else product @ plain
+        shift = int(np.frexp(np.abs(product).max())[1])
+        if abs(shift) > 256:
+            product = np.ldexp(product, -shift)
+            exponent += shift
+    return float(np.trace(product)), exponent
 
 
 def norm_squared(state):
     """<psi|psi> = tr of the ring product of plain transfer matrices."""
-    plain = (_transfers(a, _OPS[:1])[0] for a in state.tensors)
-    return float(np.trace(reduce(np.matmul, plain)))
+    return float(np.ldexp(*_ring_trace(state)))
 
 
 def energy(state, j_coupling=1.0):

@@ -18,7 +18,6 @@ from spinsvd.basis import (
     apply_hamiltonian_to_array,
     dense_hamiltonian,
     enumerate_sector,
-    momentum_block,
     neel_config,
     translation_orbits,
 )
@@ -335,7 +334,8 @@ def _complex_momentum_isometry(sector, m):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_momentum_block_is_sector_operator_restricted(n, k_over_pi, j_coupling, seed):
-    sector, block = enumerate_sector(n, 0), momentum_block(n, k_over_pi)
+    sector = enumerate_sector(n, 0)
+    block = translation_orbits(sector).block(k_over_pi * n // 2)
     mask = (1 << n) - 1
     orbits = {
         min(((c << r) | (c >> (n - r))) & mask for r in range(n)) for c in sector.configs.tolist()

@@ -85,6 +85,15 @@ def test_solve_ed_n24(tmp_path):
     assert abs(trace_check["sum_sqrt_lambda"] - 6.0) <= 1e-10
 
 
+def test_solve_mps_long_ring(tmp_path):
+    # the norm of 3000 random sites is far outside the float range before it is normalized
+    out = tmp_path / "solve"
+    argv = ["solve", "--method", "mps", "--n", "3000", "--chi", "2", "--sweeps", "1"]
+    assert run(argv + ["--out", str(out)]) == 0
+    energy = json.loads((out / "manifest.json").read_text())["energy"]
+    assert -8.90438652987644 / 20 < energy / 3000 < 0  # above the N = 20 ground state per site
+
+
 @pytest.mark.parametrize("flag", ["--sweeps", "--chi"])
 def test_solve_rejects_nonpositive_counts(tmp_path, capsys, flag):
     out = tmp_path / "run"
@@ -209,6 +218,16 @@ def test_corr_rejects_malformed_v2_state(tmp_path, capsys, field, edit, message)
     capsys.readouterr()
     argv = ["corr", "--state", str(_write_state(tmp_path, payload))]
     assert message in assert_rejected(argv, tmp_path / "corr", capsys)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2], "x", None, {"format": "spinsvd-state-v0"}],
+    ids=["list", "string", "null", "unknown-format"],
+)
+def test_corr_rejects_state_without_known_format(tmp_path, capsys, payload):
+    argv = ["corr", "--state", str(_write_state(tmp_path, payload))]
+    assert "unrecognized state format" in assert_rejected(argv, tmp_path / "corr", capsys)
 
 
 def _v1_state(n=8):

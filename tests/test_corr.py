@@ -96,6 +96,25 @@ def test_validate_rejects_non_circulant_thermal(spectrum_n8):
         corr.CorrelationMatrix(8, s, cm.provenance).validate()
 
 
+def rolled_row_deviation(s):
+    """Largest |S_ij - S_0,(j-i) mod N| by rolling each row onto row 0: the oracle."""
+    dev = 0.0
+    for i in range(len(s)):
+        dev = max(dev, float(np.max(np.abs(np.roll(s[i], -i) - s[0]))))
+    return dev
+
+
+def test_circulant_deviation_matches_rolled_rows(spectrum_n8):
+    rng = np.random.default_rng(0)
+    for n in (4, 7, 12):
+        a = rng.standard_normal((n, n))
+        s = a + a.T  # symmetric, not circulant
+        assert corr.CorrelationMatrix(n, s, "mps").circulant_deviation() == rolled_row_deviation(s) > 0
+    for beta in (0.0, 1.0, 10.0):
+        cm = corr.build_thermal(spectrum_n8, beta)
+        assert cm.circulant_deviation() == rolled_row_deviation(cm.entries) == 0.0
+
+
 def test_thermal_beta_continuity(spectrum_n8):
     delta = 1e-4
     e_max = float(np.max(np.abs(spectrum_n8.energies)))

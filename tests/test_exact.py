@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import embed_in_full_space, kron_hamiltonian
 from spinsvd import exact
-from spinsvd.basis import dense_hamiltonian, enumerate_sector
+from spinsvd.basis import SectorBasis, dense_hamiltonian, enumerate_sector, neel_config
 from spinsvd.corr import build_from_wavefunction, build_thermal
 from spinsvd.errors import ConvergenceError, DegenerateGroundStateError, InvalidSizeError
 from spinsvd.exact import (
@@ -84,6 +84,39 @@ def test_closed_krylov_space_raises():
         lanczos_ground_state(enumerate_sector(6, 0), j_coupling=0.0)
 
 
+@pytest.mark.parametrize("j_coupling", [1.0, -0.7])
+@pytest.mark.parametrize("sz", [2, -2])
+def test_one_state_basis_is_one_exact_step(sz, j_coupling):
+    # the fully polarized 4-site ring: four parallel bonds of 1/4 each, no flip
+    sol = lanczos_ground_state(enumerate_sector(4, sz), j_coupling=j_coupling)
+    assert sol.energy == j_coupling and sol.wf.amps.tolist() == [1.0]
+    assert sol.residual_norm == 0.0 and sol.gap is None and sol.iterations == 1
+
+
+def _partial_sector_without_neel(n):
+    configs = enumerate_sector(n, 0).configs
+    return SectorBasis(n, 0, configs[configs != neel_config(n)])
+
+
+@pytest.mark.parametrize(
+    "basis", [enumerate_sector(6, 1), _partial_sector_without_neel(6)], ids=["sz-1", "partial"]
+)
+@pytest.mark.parametrize("top", [2.0, -2.0])
+def test_fix_sign_without_neel_makes_largest_entry_positive(basis, top):
+    vec = np.random.default_rng(3).uniform(-1.0, 1.0, basis.dim)
+    vec[basis.dim // 2] = top  # the one entry of magnitude above 1
+    assert np.array_equal(exact._fix_sign(basis, vec), vec if top > 0 else -vec)
+
+
+@pytest.mark.parametrize("neel_amp,flipped", [(-0.1, True), (0.1, False), (-1e-13, False)])
+def test_fix_sign_pivots_on_neel_amplitude(neel_amp, flipped):
+    basis = enumerate_sector(6, 0)
+    vec = np.random.default_rng(4).uniform(-1.0, 1.0, basis.dim)
+    vec[0] = 2.0  # the largest entry, positive; it decides only when the Neel amplitude vanishes
+    vec[basis.index_of(neel_config(6))] = neel_amp
+    assert np.array_equal(exact._fix_sign(basis, vec), -vec if flipped else vec)
+
+
 def test_step_budget_exhausted_raises_with_residual(monkeypatch):
     # 4 steps cannot resolve the 924-state N = 12 sector's ground state
     monkeypatch.setattr(exact, "_LANCZOS_MAX_STEPS", 4)
@@ -140,7 +173,7 @@ def test_full_spectrum_n4():
     assert len(e) == 16
     assert e[0] == pytest.approx(-2.0, abs=1e-10)
     assert e[-1] == pytest.approx(1.0, abs=1e-10)
-    assert spec.partition_function(0.0, shift=0.0) == pytest.approx(16.0, abs=1e-10)
+    assert sum(s.multiplicity * s.basis.dim for s in spec.sectors) == 16
 
 
 def assert_sector_eigenpairs(spectrum):

@@ -186,6 +186,27 @@ def test_random_init_norm():
         assert mps.norm_squared(st) > 0
 
 
+def _log_ring_norm(state):
+    """log <psi|psi> from kron-built transfer matrices, the running product
+    renormalized to unit Frobenius norm at every site."""
+    product, log_scale = np.eye(state.chi**2), 0.0
+    for a in state.tensors:
+        product = product @ _transfer(a)
+        scale = np.linalg.norm(product)
+        product, log_scale = product / scale, log_scale + np.log(scale)
+    return log_scale + np.log(np.trace(product))
+
+
+def test_random_init_long_ring_is_one_normalized_draw():
+    # the unnormalized norm of 1100 sites is about e^750, beyond the float range
+    n, chi = 1100, 10
+    state = mps.random_init(n, chi, seed=0)
+    assert abs(_log_ring_norm(state)) < 1e-9
+    assert mps.norm_squared(state) == pytest.approx(1.0, abs=1e-9)
+    ratio = state.tensors / np.random.default_rng(0).standard_normal((n, 2, chi, chi))
+    assert np.allclose(ratio, ratio.flat[0], rtol=1e-12, atol=0)  # seed 0's draw, rescaled
+
+
 def test_random_init_chi_validation():
     with pytest.raises(ValueError):
         mps.random_init(4, 0)
