@@ -112,11 +112,22 @@ def save_state(path, payload):
         fh.write("\n")
 
 
+class _StateFile(dict):
+    """The fields of a state file; reading one it lacks is an error naming the file."""
+
+    def __missing__(self, key):
+        raise ValueError(f"state file {self.path} lacks {key!r}")
+
+
 def load_state(path):
     with open(path) as fh:
         payload = json.load(fh)
     if type(payload) is not dict or payload.get("format") not in STATE_FORMATS:
         raise ValueError(f"unrecognized state format in {path}")
+    payload = _StateFile(payload)
+    payload.path = path
+    if payload["method"] not in ("ed", "mps"):
+        raise ValueError(f"state file {path} has method {payload['method']!r}, not 'ed' or 'mps'")
     return payload
 
 

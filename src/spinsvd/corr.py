@@ -105,7 +105,8 @@ def build_thermal(spectrum, beta):
     s = np.zeros((n, n))
     z_part = 0.0
     for block in spectrum.sectors:
-        w = block.multiplicity * np.exp(-beta * (block.energies - e0))
+        with np.errstate(over="ignore"):  # a huge beta sends excited levels to exp(-inf) = 0
+            w = block.multiplicity * np.exp(-beta * (block.energies - e0))
         z_part += float(np.sum(w))
         if beta == 0.0:
             # every level weighs 1 and the |v|^2 of a block sum to 1 per

@@ -4,6 +4,13 @@ The state is |psi> = sum_s tr(A_1^{s_1} ... A_N^{s_N}) |s_1...s_N> with
 site-dependent chi x chi real matrices. Each local update solves the
 generalized eigenproblem H_eff |A> = E N_eff |A> on the 2*chi^2 vector of
 one site's tensor, with all other tensors fixed.
+
+Transfer matrices sum O[s',s] A^{s'} (x) A^s, and their products, are kept
+as two blocks in the basis of symmetric and antisymmetric (bra, ket) index
+pairs, chi(chi+1)/2 and chi(chi-1)/2 of them (the operators I, Sz, Sx are
+symmetric and Sa = (S+ - S-)/2 antisymmetric), so a product costs about a
+quarter of a dense one. A site's environment returns to the dense layout
+once, in the gather that regroups it onto the site vector.
 """
 
 from __future__ import annotations
@@ -17,10 +24,10 @@ from .errors import ConditioningError
 from .lanczos import lowest_ritz_pair
 
 _SZ = np.diag([-0.5, 0.5])
-_SP = np.array([[0.0, 0.0], [1.0, 0.0]])  # <up|S+|down> = 1
-_SM = _SP.T
+_SX = np.array([[0.0, 0.5], [0.5, 0.0]])  # (S+ + S-)/2
+_SA = np.array([[0.0, -0.5], [0.5, 0.0]])  # (S+ - S-)/2, with S+ = |1><0|
 _I2 = np.eye(2)
-_OPS = np.stack([_I2, _SZ, _SP, _SM])
+_OPS = np.stack([_I2, _SZ, _SX, _SA])
 
 # N_eff regularization: relative identity shift and relative cutoff below
 # which Gram directions are projected out (PBC Gram matrices are routinely
@@ -61,30 +68,91 @@ class MpsState:
         return MpsState(self.n_sites, self.chi, self.tensors.copy())
 
 
+class _Pair:
+    """Matrix on the doubled bond space as its blocks in the pair basis of
+    _gather: ss, aa if it commutes with the swap of the bra and ket index (as
+    the transfer matrix of a symmetric O does), sa, as if it anticommutes."""
+
+    __slots__ = ("s", "a", "odd")  # the blocks with symmetric and antisymmetric rows
+
+    def __init__(self, s, a, odd=False):
+        self.s, self.a, self.odd = s, a, odd
+
+    def __matmul__(self, other):
+        s, a = (other.a, other.s) if self.odd else (other.s, other.a)
+        return _Pair(self.s @ s, self.a @ a, self.odd != other.odd)
+
+    def __add__(self, other):
+        return _Pair(self.s + other.s, self.a + other.a, self.odd)
+
+    def __sub__(self, other):
+        return _Pair(self.s - other.s, self.a - other.a, self.odd)
+
+
+@cache
+def _gather(chi, odd, site=False):
+    """Tables between the dense doubled bond space and the two blocks of one
+    parity. Pair basis: (e_bd + e_db)/sqrt2 (b < d) and e_bb in the row-major
+    order of b <= d, then (e_bd - e_db)/sqrt2 (b < d).
+
+    i, j, wi, wj, shapes: the blocks of E, concatenated, are wi t[i] + wj t[j]
+    of its raw entries t[a, b, c, d] = E[(a, c), (b, d)]; entry (k, l) is E's
+    row at vector k's pair b <= d against vector l, over k's coefficient there
+    (the swap symmetry makes the swapped row give the same). With site,
+    i, wi, j, wj: E regrouped from (b'b, a'a) onto the site vector (a'b', ab)
+    is wi f[i] + wj f[j] of f, its blocks concatenated and one zero.
+    """
+    b, d = np.divmod(np.arange(chi * chi), chi)
+    lo, hi = np.minimum(b, d), np.maximum(b, d)
+    pos = lo * (2 * chi + 1 - lo) // 2 + hi - lo, lo * (2 * chi - 1 - lo) // 2 + hi - lo - 1
+    coef = np.where(b == d, 1.0, np.sqrt(0.5)), np.sign(d - b) * np.sqrt(0.5)
+    size, tables, shapes = [np.count_nonzero(b + x <= d) for x in (0, 1)], [], []
+    for x, y in ((0, 1), (1, 0)) if odd else ((0, 0), (1, 1)):  # row and column sector
+        shapes.append((size[x], size[y]))
+        if site:
+            w, at = np.outer(coef[x], coef[y]), np.add.outer(pos[x] * size[y], pos[y])
+            tables.append((np.where(w != 0, at + (x and size[0] * size[odd]), -1), w))
+            continue
+        r, c = np.flatnonzero(b + x <= d), np.flatnonzero(b + y <= d)
+        swap, scale = d[c] * chi + b[c], 1.0 / coef[x][r, None]
+        w = coef[y][swap] * (b[c] < d[c])  # a diagonal pair counts once
+        row = b[r, None] * chi**3 + d[r, None] * chi  # E[(p, q), (p', q')] = t[row + p' chi^2 + q']
+        i, j = row + b[c] * chi**2 + d[c], row + d[c] * chi**2 + b[c]
+        tables.append((i, j, scale * coef[y][c], scale * w))
+    if site:  # regrouped from (b'b, a'a) onto the site vector (a'b', ab)
+        return [t.reshape([chi] * 4).transpose(2, 0, 3, 1).reshape(b.size, -1) for t in sum(tables, ())]
+    return *(np.concatenate([t[n].ravel() for t in tables]) for n in range(4)), shapes
+
+
 @dataclass
 class _Block:
     """Ring segment: plain transfer product p, sum h of its bonds (J = 1; None
-    for one site), and products with Sz, S+, S- (stacked) at its first (left)
-    or last (right) site."""
+    for one site), and products with Sz, Sx, Sa at its first (left) or last
+    (right) site, all as _Pairs."""
 
-    p: np.ndarray
-    h: np.ndarray | None
-    left: np.ndarray | None
-    right: np.ndarray
+    p: _Pair
+    h: _Pair | None
+    left: list | None
+    right: list
 
 
 def _transfers(a, ops=_OPS):
-    """Stacked sum_{s',s} O[s',s] kron(A^{s'}, A^s) for O in ops (I, Sz, S+, S-).
+    """[sum_{s',s} O[s',s] kron(A^{s'}, A^s) for O in ops] as _Pairs.
 
     Two matrix products: B[(o, s), ab] = sum_s' O[s', s] A^{s'}_ab, then
-    sum_s B[(o, s), ab] A^s_cd, whose (o, a, b, c, d) entries a transpose
-    regroups into rows (a, c) and columns (b, d).
+    sum_s B[(o, s), ab] A^s_cd, whose (o, a, b, c, d) entries (E_O[(a, c),
+    (b, d)]) are gathered into the blocks, odd for the antisymmetric Sa.
     """
     k, chi = len(ops), a.shape[1]
     flat = a.reshape(2, -1)
     oa = np.swapaxes(ops, 1, 2).reshape(2 * k, 2) @ flat
-    t = oa.reshape(k, 2, -1).swapaxes(1, 2).reshape(-1, 2) @ flat
-    return t.reshape(k, chi, chi, chi, chi).transpose(0, 1, 3, 2, 4).reshape(k, chi * chi, chi * chi)
+    t = (oa.reshape(k, 2, -1).swapaxes(1, 2).reshape(-1, 2) @ flat).reshape(k, -1)
+    out = []
+    for raw, odd in zip(t, (ops[:, 0, 1] != ops[:, 1, 0]).tolist()):
+        i, j, wi, wj, (s, a) = _gather(chi, odd)
+        v = wi * raw[i] + wj * raw[j]
+        out.append(_Pair(v[: s[0] * s[1]].reshape(s), v[s[0] * s[1] :].reshape(a), odd))
+    return out
 
 
 def _site_block(a):
@@ -101,46 +169,45 @@ def _combine(a, b):
     """
     if a is None or b is None:
         return b if a is None else a
-    (az, ap, am), (bz, bp, bm) = a.right, b.left
-    h = az @ bz + 0.5 * (ap @ bm + am @ bp)  # the bond that joins a and b
+    (az, ax, aa), (bz, bx, ba) = a.right, b.left
+    h = az @ bz + ax @ bx - aa @ ba  # the bond that joins a and b
     if b.h is not None:
         h = a.p @ b.h + h
     if a.h is not None:
         h = a.h @ b.p + h
-    return _Block(a.p @ b.p, h, a.left @ b.p, a.p @ b.right)
+    return _Block(a.p @ b.p, h, [f @ b.p for f in a.left], [a.p @ f for f in b.right])
 
 
 def _sweep_envs(state):
     """Yield (k, environment of site k) for k = 0 ... N-1.
 
-    The right block R_k (sites k+1 ... N-1) is stored as two matrices in one
-    (N-1, 2, chi^2, chi^2) array built at the start: X_k = E_{k+1} ... E_{N-2},
-    the plain product that stops before site N-1, and h_k, the bond sum of
-    R_k. Site N-1 is updated last, so on use one stacked product X_k @ [E, Fz,
-    F+, F-] of site N-1 gives R_k's p and right ends; its left ends are
-    rebuilt from R_{k+1}.p. The left block (sites 0 ... k-1) grows from each
-    tensor as it is when the generator resumes, so an update at site k is
-    seen by later sites.
+    The right block R_k (sites k+1 ... N-1) is stored as two _Pairs built at
+    the start: X_k = E_{k+1} ... E_{N-2}, the plain product that stops before
+    site N-1, and h_k, the bond sum of R_k. Site N-1 is updated last, so on
+    use the products X_k @ [E, Fz, Fx, Fa] of site N-1 give R_k's p and right
+    ends; its left ends are rebuilt from R_{k+1}.p. The left block (sites
+    0 ... k-1) grows from each tensor as it is when the generator resumes, so
+    an update at site k is seen by later sites.
     """
-    n, d2 = state.n_sites, state.chi**2
-    kept = np.empty((n - 1, 2, d2, d2))
-    kept[n - 2, 0], kept[n - 2, 1] = np.eye(d2), 0.0
-    after = np.eye(d2)  # plain product of sites k+3 ... N-1
+    n, chi = state.n_sites, state.chi
+    plain, bonds = [None] * (n - 1), [None] * (n - 1)
+    after = _Pair(np.eye(chi * (chi + 1) // 2), np.eye(chi * (chi - 1) // 2))  # sites k+3 ... N-1
+    plain[n - 2], bonds[n - 2] = after, after - after  # R_{N-2}, site N-1 alone, holds no bond
     last = t_next = _transfers(state.tensors[n - 1])
     for k in range(n - 3, -1, -1):
         t = _transfers(state.tensors[k + 1])
-        bond = t[1] @ t_next[1] + 0.5 * (t[2] @ t_next[3] + t[3] @ t_next[2])
-        kept[k, 0] = t[0] @ kept[k + 1, 0]
-        kept[k, 1] = t[0] @ kept[k + 1, 1] + bond @ after
+        bond = t[1] @ t_next[1] + t[2] @ t_next[2] - t[3] @ t_next[3]
+        plain[k] = t[0] @ plain[k + 1]
+        bonds[k] = t[0] @ bonds[k + 1] + bond @ after
         after = t_next[0] @ after
         t_next = t
-    ahead, left = kept[0, 0] @ last, None
+    ahead, left = [plain[0] @ f for f in last], None
     for k in range(n - 1):
         if k > 0:
             left = _combine(left, _site_block(state.tensors[k - 1]))
-        r, ahead = ahead, (kept[k + 1, 0] @ last if k + 2 < n else None)
+        r, ahead = ahead, ([plain[k + 1] @ f for f in last] if k + 2 < n else None)
         ends = _transfers(state.tensors[k + 1], _OPS[1:])
-        r = _Block(r[0], kept[k, 1], ends if ahead is None else ends @ ahead[0], r[1:])
+        r = _Block(r[0], bonds[k], ends if ahead is None else [f @ ahead[0] for f in ends], r[1:])
         yield k, _combine(r, left)
     yield n - 1, _combine(left, _site_block(state.tensors[n - 2]))
 
@@ -150,27 +217,26 @@ def _site_matrices(env, chi, j_coupling):
 
     env runs from the right neighbour round to the left one, so its left
     ends close the bond to the right and its right ends the bond to the left.
-    H_eff = sum_O O (x) G_O over O = I, Sz, S+, S-, so its four chi^2 x chi^2
+    H_eff = sum_O O (x) G_O over O = I, Sz, Sx, Sa, so its four chi^2 x chi^2
     blocks (s, t) are sums of the G_O with O[s, t] != 0.
     """
     d2 = chi * chi
 
-    def site_op(g):  # ring environment (b'b, a'a) -> matrix on the site vector (a'b', ab)
-        return g.reshape(chi, chi, chi, chi).transpose(2, 0, 3, 1).reshape(d2, d2)
+    def site_op(g):  # ring environment (b'b, a'a) -> dense matrix on the site vector (a'b', ab)
+        i, wi, j, wj = _gather(chi, g.odd, site=True)
+        f = np.concatenate((g.s.ravel(), g.a.ravel(), [0.0]))
+        return wi * f[i] + wj * f[j]
 
-    (lz, lp, lm), (rz, rp, rm) = env.left, env.right
+    (lz, lx, la), (rz, rx, ra) = env.left, env.right
     bonds = 0.0 if env.h is None else site_op(env.h)  # N = 2: a one-site env holds no bond
     z = 0.5 * site_op(lz + rz)
-    up = j_coupling * site_op(0.5 * (lm + rm))  # block (1, 0): S+ = |1><0|
-    down = j_coupling * site_op(0.5 * (lp + rp))  # block (0, 1): S- = |0><1|
-    diag0, diag1 = j_coupling * (bonds - z), j_coupling * (bonds + z)
-    heff = np.empty((2 * d2, 2 * d2))  # 0.5 (H + H^T), block by block
-    heff[:d2, :d2] = 0.5 * (diag0 + diag0.T)
-    heff[d2:, d2:] = 0.5 * (diag1 + diag1.T)
-    heff[d2:, :d2] = 0.5 * (up + down.T)
+    heff = np.empty((2 * d2, 2 * d2))
+    heff[:d2, :d2], heff[d2:, d2:] = bonds - z, bonds + z
+    # block (1, 0), S+ = |1><0|, meets S- = Sx - Sa in the environment
+    heff[d2:, :d2] = 0.5 * (site_op(lx + rx) - site_op(la + ra))
     heff[:d2, d2:] = heff[d2:, :d2].T
-    gram = site_op(env.p)
-    return heff, 0.5 * (gram + gram.T)
+    heff *= j_coupling
+    return heff, site_op(env.p)
 
 
 def _gram(x, nenv):
@@ -201,11 +267,11 @@ def _ring_trace(state):
     for a in state.tensors:
         plain = _transfers(a, _OPS[:1])[0]
         product = plain if product is None else product @ plain
-        shift = int(np.frexp(np.abs(product).max())[1])
+        shift = int(np.frexp(max(np.abs(product.s).max(), np.abs(product.a).max(initial=0.0)))[1])
         if abs(shift) > 256:
-            product = np.ldexp(product, -shift)
+            product = _Pair(np.ldexp(product.s, -shift), np.ldexp(product.a, -shift))
             exponent += shift
-    return float(np.trace(product)), exponent
+    return float(np.trace(product.s) + np.trace(product.a)), exponent
 
 
 def norm_squared(state):
@@ -333,30 +399,30 @@ def correlation_matrix(state):
     """All <Sz_i Sz_j> entries, using prefix products and closing factors.
 
     Entry (i < j) is tr(X Y)/<psi|psi>, X = E_0..Ez_i..E_{j-1} and Y = Ez_j
-    E_{j+1}..E_{N-1}; Y^T is precomputed per j and tr(X Y) = sum(X * Y^T).
+    E_{j+1}..E_{N-1}; Y^T is precomputed per j and tr(X Y) = sum(X * Y^T),
+    summed over the two sectors, as every factor is even.
     """
-    n, d2 = state.n_sites, state.chi**2
-    e = np.empty((n, d2, d2))
-    closing = [None] * n
-    suffix = np.eye(d2)
-    for m in range(n - 1, -1, -1):
-        e[m], ez = _transfers(state.tensors[m], _OPS[:2])
-        closing[m] = np.ascontiguousarray((ez @ suffix).T)
-        suffix = e[m] @ suffix
-    n2 = float(np.trace(suffix))
+    n, transfers = state.n_sites, [_transfers(a, _OPS[:2]) for a in state.tensors]
+    traces, n2 = np.zeros((n, n)), 0.0
+    for sector in ("s", "a"):
+        e, ez = ([getattr(t[o], sector) for t in transfers] for o in (0, 1))
+        closing, suffix = [None] * n, np.eye(len(e[0]))
+        for m in range(n - 1, -1, -1):
+            closing[m] = np.ascontiguousarray((ez[m] @ suffix).T)
+            suffix = e[m] @ suffix
+        n2 += float(np.trace(suffix))
+        prefix = np.eye(len(e[0]))
+        left, spare = np.empty_like(prefix), np.empty_like(prefix)  # X for j and j + 1
+        for i in range(n - 1):
+            np.matmul(prefix, ez[i], out=left)
+            for j in range(i + 1, n):
+                traces[i, j] += float(np.vdot(left, closing[j]))
+                if j + 1 < n:
+                    np.matmul(left, e[j], out=spare)
+                    left, spare = spare, left
+            prefix = prefix @ e[i]
     if abs(n2) < 1e-300:
         raise ConditioningError("state norm vanishes")
-
-    out = np.empty((n, n))
+    out = (traces + traces.T) / n2
     np.fill_diagonal(out, 0.25)
-    prefix = np.eye(d2)
-    left, spare = np.empty((d2, d2)), np.empty((d2, d2))  # X for j and j + 1
-    for i in range(n - 1):
-        np.matmul(prefix, _transfers(state.tensors[i], _OPS[1:2])[0], out=left)
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = float(np.vdot(left, closing[j])) / n2
-            if j + 1 < n:
-                np.matmul(left, e[j], out=spare)
-                left, spare = spare, left
-        prefix = prefix @ e[i]
     return out

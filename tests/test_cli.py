@@ -230,6 +230,37 @@ def test_corr_rejects_state_without_known_format(tmp_path, capsys, payload):
     assert "unrecognized state format" in assert_rejected(argv, tmp_path / "corr", capsys)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda p: p.update(method=None), "has method None, not 'ed' or 'mps'"),
+        (lambda p: p.update(method="xyz"), "has method 'xyz', not 'ed' or 'mps'"),
+        (lambda p: p.pop("method"), "lacks 'method'"),
+        (lambda p: p.pop("chi"), "lacks 'chi'"),
+    ],
+    ids=["method-null", "method-xyz", "method-absent", "chi-absent"],
+)
+def test_corr_rejects_mps_state_without_method_or_field(tmp_path, capsys, edit, message):
+    solve = ["solve", "--method", "mps", "--n", "4", "--chi", "2", "--sweeps", "1"]
+    assert run(solve + ["--out", str(tmp_path / "solve")]) == 0
+    payload = json.loads((tmp_path / "solve" / "state.json").read_text())
+    edit(payload)
+    path = _write_state(tmp_path, payload)
+    capsys.readouterr()
+    err = assert_rejected(["corr", "--state", str(path)], tmp_path / "corr", capsys)
+    assert err == f"error: state file {path} {message}\n"
+
+
+def test_corr_thermal_huge_beta_is_silent(tmp_path):
+    # -beta (E - E0) overflows to -inf for every excited level: weight 0, no warning
+    for beta in ("1e308", "1e3"):
+        argv = ["-m", "spinsvd.cli", "corr", "--beta", beta, "--n", "4", "--out", str(tmp_path / beta)]
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    csv = [(tmp_path / beta / "matrix.csv").read_bytes() for beta in ("1e308", "1e3")]
+    assert csv[0] == csv[1]
+
+
 def _v1_state(n=8):
     sol = lanczos_ground_state(enumerate_sector(n, 0))
     v1 = {
@@ -331,6 +362,23 @@ def loaded_submodules(code):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return eval(proc.stdout.splitlines()[-1])
+
+
+def test_mps_setup_import_footprint():
+    # the modules the benchmark's mps set-up (import, random_init) loads on top
+    # of those it shares with every caller
+    code = (
+        "import __future__, dataclasses, functools, numpy, numpy.random, sys\n"
+        "before = set(sys.modules)\n"
+        "import spinsvd as s\ns.random_init(64, 10, 1)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert eval(proc.stdout) == ["spinsvd", "spinsvd.errors", "spinsvd.lanczos", "spinsvd.mps"]
+    # the pair-sector tables are built on first use, not at import
+    code = "from spinsvd import mps\nprint(mps._gather.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True).stdout == "0\n"
 
 
 def test_package_import_loads_no_submodule():

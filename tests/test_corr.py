@@ -1,5 +1,6 @@
 """Correlation-matrix assembly: ground state, MPS, and thermal ensembles."""
 
+import warnings
 from functools import cache
 
 import numpy as np
@@ -122,6 +123,14 @@ def test_thermal_beta_continuity(spectrum_n8):
         a = corr.build_thermal(spectrum_n8, beta).entries
         b = corr.build_thermal(spectrum_n8, beta + delta).entries
         assert np.linalg.norm(a - b) <= 1e-2 * delta * 8 * e_max
+
+
+def test_thermal_huge_beta_is_the_beta_1e3_matrix():
+    spectrum = full_spectrum(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from -beta (E - E0)
+        huge = corr.build_thermal(spectrum, 1e308).entries
+    assert np.array_equal(huge, corr.build_thermal(spectrum, 1e3).entries)
 
 
 def test_thermal_negative_beta():

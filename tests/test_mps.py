@@ -143,24 +143,59 @@ def optimized_n4():
     return state, reports
 
 
-@pytest.mark.parametrize("chi", [1, 3, 10])
+def pair_basis(chi):
+    """Explicit orthogonal pair basis: rows (e_bd + e_db)/sqrt2 for b < d and
+    e_bb, in the row-major order of b <= d, then (e_bd - e_db)/sqrt2 for b < d;
+    and the number of symmetric rows."""
+    sym, anti = [], []
+    for b in range(chi):
+        for d in range(b, chi):
+            e_bd, e_db = np.eye(chi * chi)[b * chi + d], np.eye(chi * chi)[d * chi + b]
+            sym.append(e_bd if b == d else (e_bd + e_db) / np.sqrt(2))
+            if b < d:
+                anti.append((e_bd - e_db) / np.sqrt(2))
+    return np.array(sym + anti).reshape(chi * chi, chi * chi), len(sym)
+
+
+_SX, _SA = 0.5 * (_SP + _SM), 0.5 * (_SP - _SM)
+
+
+@pytest.mark.parametrize("chi", [1, 2, 3, 10])
 def test_transfers_match_kron_oracle(chi):
+    # Q E Q^T of the kron oracle: blocks ss, aa for I, Sz, Sx; sa, as for Sa;
+    # the other two blocks vanish
     a = np.random.default_rng(chi).standard_normal((2, chi, chi))
-    oracle = np.stack([_transfer(a, op) for op in (_I2, _SZ, _SP, _SM)])
-    for ops in (slice(None), slice(1), slice(2), slice(1, None), slice(1, 2)):
-        got, want = mps._transfers(a, mps._OPS[ops]), oracle[ops]
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), ops
+    q, ns = pair_basis(chi)
+    assert np.allclose(q @ q.T, np.eye(chi * chi), rtol=0, atol=1e-15)
+    oracle = [q @ _transfer(a, op) @ q.T for op in (_I2, _SZ, _SX, _SA)]
+    for ops in (slice(None), slice(1), slice(2), slice(1, None)):
+        for got, want, odd in zip(mps._transfers(a, mps._OPS[ops]), oracle[ops], (0, 0, 0, 1)[ops]):
+            scale = np.linalg.norm(want)
+            assert got.odd == odd
+            s, x = slice(None, ns), slice(ns, None)
+            (ss, sa), (as_, aa) = (want[s, s], want[s, x]), (want[x, s], want[x, x])
+            on, off = ((sa, as_), (ss, aa)) if odd else ((ss, aa), (sa, as_))
+            assert got.s.shape == on[0].shape and got.a.shape == on[1].shape
+            assert np.linalg.norm(got.s - on[0]) <= 1e-13 * scale
+            assert np.linalg.norm(got.a - on[1]) <= 1e-13 * scale
+            assert max(np.abs(off[0]).max(initial=0), np.abs(off[1]).max(initial=0)) <= 1e-13 * scale
+
+
+def test_chi1_antisymmetric_sector_is_empty():
+    e, z, x, sa = mps._transfers(np.array([[[0.6]], [[-0.8]]]))
+    assert [(p.s.shape, p.a.shape) for p in (e, z, x)] == [((1, 1), (0, 0))] * 3
+    assert (sa.s.shape, sa.a.shape) == ((1, 0), (0, 1))
+    assert [e.s[0, 0], z.s[0, 0], x.s[0, 0]] == pytest.approx([1.0, 0.5 * (0.64 - 0.36), -0.48])
 
 
 def test_combine_with_one_site_is_the_explicit_products():
     # a one-site block holds no bond (h is None), so _combine skips its product
     # with h; the explicit products with a zero h give the same bits
     def explicit(a, b):
-        ah, bh = (np.zeros_like(x.p) if x.h is None else x.h for x in (a, b))
-        (az, ap, am), (bz, bp, bm) = a.right, b.left
-        h = ah @ b.p + a.p @ bh + (az @ bz + 0.5 * (ap @ bm + am @ bp))
-        return a.p @ b.p, h, a.left @ b.p, a.p @ b.right
+        ah, bh = (x.p - x.p if x.h is None else x.h for x in (a, b))
+        (az, ax, aa), (bz, bx, ba) = a.right, b.left
+        h = ah @ b.p + a.p @ bh + (az @ bz + ax @ bx - aa @ ba)
+        return [a.p @ b.p, h, *(f @ b.p for f in a.left), *(a.p @ f for f in b.right)]
 
     state = mps.random_init(6, 3, seed=8)
     seg = ring_env(state, 5)  # sites 0 ... 4
@@ -168,8 +203,51 @@ def test_combine_with_one_site_is_the_explicit_products():
     assert sites[0].h is None
     for a, b in ((seg, sites[1]), (sites[1], seg), (sites[0], sites[1])):
         got = mps._combine(a, b)
-        for x, y in zip((got.p, got.h, got.left, got.right), explicit(a, b)):
-            assert np.array_equal(x, y)
+        for x, y in zip([got.p, got.h, *got.left, *got.right], explicit(a, b)):
+            assert x.odd == y.odd and np.array_equal(x.s, y.s) and np.array_equal(x.a, y.a)
+        assert [f.odd for f in got.left] == [f.odd for f in got.right] == [False, False, True]
+
+
+def dense_correlation_matrix(state):
+    """All <Sz_i Sz_j> from prefix and suffix products of kron-built transfer
+    matrices, O(N^2 chi^6)."""
+    n = state.n_sites
+    e, ez = ([_transfer(a, op) for a in state.tensors] for op in (None, _SZ))
+    suffix = [np.eye(state.chi**2)]
+    for m in range(n - 1, 0, -1):
+        suffix.insert(0, e[m] @ suffix[0])  # suffix[m] = E_{m+1} ... E_{N-1}
+    out, prefix = np.zeros((n, n)), np.eye(state.chi**2)
+    for i in range(n - 1):
+        left = prefix @ ez[i]
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = np.trace(left @ ez[j] @ suffix[j])
+            left = left @ e[j]
+        prefix = prefix @ e[i]
+    out /= np.trace(prefix @ e[-1])
+    np.fill_diagonal(out, 0.25)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 8, 64])
+@pytest.mark.parametrize("chi", [1, 2, 3, 10])
+def test_sector_kernels_match_dense_formulas(n, chi):
+    # the pair-sector environments, energy, norm and correlations against the
+    # kron-built ring walk and products, to 1e-12 relative
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    state = mps.random_init(n, chi, seed=n + chi)
+    ts = _transfer_set(state)
+    for k, env in mps._sweep_envs(state):
+        heff, nenv = mps._site_matrices(env, chi, 0.7)
+        ref_h, ref_n = ring_walk_site_matrices(ts, k, n, chi, 0.7)
+        assert rel(heff, ref_h) <= 1e-12 and rel(np.kron(_I2, nenv), ref_n) <= 1e-12, k
+        assert np.array_equal(heff, heff.T) and np.array_equal(nenv, nenv.T), k  # exactly symmetric
+        if k == 0:
+            x = state.tensors[0].reshape(-1)
+            assert mps.energy(state, 0.7) == pytest.approx((x @ ref_h @ x) / (x @ ref_n @ x), rel=1e-12)
+    assert mps.norm_squared(state) == pytest.approx(np.trace(np.linalg.multi_dot(ts[0])), rel=1e-12)
+    assert rel(mps.correlation_matrix(state), dense_correlation_matrix(state)) <= 1e-12
 
 
 def test_random_init_deterministic():
@@ -290,8 +368,9 @@ def test_cached_envs_match_ring_walk_mid_sweep():
 
 
 def test_one_sweep_peak_allocation_n64():
-    # each cached right block is two chi^2 x chi^2 matrices, 10.1 MB in all at
-    # N = 64, chi = 10; one sweep measures about 15 MB
+    # each cached right block is two matrices of two pair-sector blocks
+    # (55^2 + 45^2 entries each), 5.1 MB in all at N = 64, chi = 10; one sweep
+    # measures about 9.5 MB
     state = mps.random_init(64, 10, seed=0)
     tracemalloc.start()
     try:
@@ -442,7 +521,8 @@ def test_n4_correlators_match_exact(optimized_n4):
 
 
 def test_correlation_matrix_consistent(optimized_n4):
-    for state in (optimized_n4[0], mps.random_init(10, 3, seed=6)):
+    # every entry against one kron-built ring product, the sector sums included
+    for state in (optimized_n4[0], mps.random_init(10, 3, seed=6), mps.random_init(8, 3, seed=2)):
         full = mps.correlation_matrix(state)
         for i in range(state.n_sites):
             for j in range(state.n_sites):
