@@ -4,7 +4,8 @@ All numeric file outputs are deterministic: CSVs carry 17 significant
 digits, manifests are JSON with sorted keys, heatmaps are binary PGM.
 Exit codes: 0 success, 1 usage/input error (a request too large for memory
 included), 2 numerical failure; each failure prints one `error:` line and no
-traceback. A command creates --out only once it has a result to write, so a
+traceback. Each command returns its files, its manifest fields and a label;
+`main` alone creates --out and writes them, once every result exists, so a
 rejected or failed command leaves no directory behind.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -106,10 +108,12 @@ def write_manifest(path, payload):
     Path(path).write_text(_json_text(payload))
 
 
+def _write_text(path, text):
+    Path(path).write_text(text)
+
+
 def save_state(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 class _StateFile(dict):
@@ -118,102 +122,21 @@ class _StateFile(dict):
     def __missing__(self, key):
         raise ValueError(f"state file {self.path} lacks {key!r}")
 
+    def integer(self, name, low):
+        """self[name], checked to be a JSON integer (not a boolean) >= low."""
+        value = self[name]
+        if type(value) is not int or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        return value
 
-def load_state(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if type(payload) is not dict or payload.get("format") not in STATE_FORMATS:
-        raise ValueError(f"unrecognized state format in {path}")
-    payload = _StateFile(payload)
-    payload.path = path
-    if payload["method"] not in ("ed", "mps"):
-        raise ValueError(f"state file {path} has method {payload['method']!r}, not 'ed' or 'mps'")
-    return payload
-
-
-def _cmd_solve(args):
-    if args.n % 2 != 0 or args.n < 4:
-        raise InvalidSizeError(f"--n must be even and >= 4, got {args.n}")
-
-    if args.method == "ed":
-        if args.n > ED_CLI_CAP:
-            raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {args.n}")
-        from . import exact
-
-        sol, cross_block_gap = exact.momentum_ground_state(args.n, args.j, seed=args.seed)
-        block = sol.wf.basis
-        state = {
-            "format": STATE_FORMAT,
-            "method": "ed",
-            "n_sites": args.n,
-            "j": args.j,
-            "sz_total": 0,
-            "k_over_pi": block.k_over_pi,
-            "energy": sol.energy,
-            "residual_norm": sol.residual_norm,
-            "representatives": block.configs.tolist(),
-            "amplitudes": sol.wf.amps.tolist(),
-        }
-        energy_val = sol.energy
-        extra = {
-            "residual_norm": sol.residual_norm,
-            "k_over_pi": block.k_over_pi,
-            "block_dim": block.dim,
-            "lanczos_iterations": sol.iterations,
-            "cross_block_gap": cross_block_gap,
-        }
-    else:
-        from . import mps
-
-        init = mps.random_init(args.n, args.chi, args.seed)
-        opt, reports = mps.sweep_optimize(init, args.j, n_sweeps=args.sweeps)
-        state = {
-            "format": STATE_FORMAT,
-            "method": "mps",
-            "n_sites": args.n,
-            "j": args.j,
-            "chi": args.chi,
-            "seed": args.seed,
-            "sweep_count": args.sweeps,
-            "energy": reports[-1].energy,
-            "tensors": opt.tensors.reshape(args.n, 2, -1).tolist(),
-        }
-        energy_val = reports[-1].energy
-        extra = {
-            "final_energy_change": reports[-1].energy_change,
-            "guard_rejects": reports[-1].guard_rejects,
-            "local_iterations": reports[-1].local_iterations,
-        }
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    state_path = out / "state.json"
-    save_state(state_path, state)
-    write_manifest(
-        out / "manifest.json",
-        {
-            "command": "solve",
-            "method": args.method,
-            "n_sites": args.n,
-            "j": args.j,
-            "chi": args.chi if args.method == "mps" else None,
-            "sweeps": args.sweeps if args.method == "mps" else None,
-            "seed": args.seed,
-            "energy": energy_val,
-            "artifacts": [state_path.name],
-            **extra,
-        },
-    )
-    print(f"energy {_fmt(energy_val)} -> {state_path}")
-    return 0
-
-
-def _int_field(payload, name, low):
-    """payload[name], checked to be a JSON integer (not a boolean) >= low."""
-    value = payload[name]
-    if type(value) is not int or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return value
+    def numbers(self, name):
+        """self[name] as a float array, checked to hold only finite JSON numbers."""
+        if not _json_numbers(self[name]):
+            raise ValueError(f"state has non-numeric {name}")
+        values = np.array(self[name], dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError(f"state has non-finite {name}")
+        return values
 
 
 def _json_numbers(value):
@@ -225,51 +148,110 @@ def _json_numbers(value):
     return set(map(type, value)) <= {int, float}
 
 
-def _finite_array(payload, name):
-    """payload[name] as a float array, checked to hold only finite JSON numbers."""
-    if not _json_numbers(payload[name]):
-        raise ValueError(f"state has non-numeric {name}")
-    values = np.array(payload[name], dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError(f"state has non-finite {name}")
-    return values
+def load_state(path):
+    """(fields, state) of a state file, every field the state needs checked.
 
+    The state is the solver object that `corr` reads: an `MpsState`, or for
+    ED the `Wavefunction` on its momentum block (v2) or S_z sector (v1).
+    """
+    payload = json.loads(Path(path).read_text())
+    if type(payload) is not dict or payload.get("format") not in STATE_FORMATS:
+        raise ValueError(f"unrecognized state format in {path}")
+    fields = _StateFile(payload)
+    fields.path = path
+    if fields["method"] not in ("ed", "mps"):
+        raise ValueError(f"state file {path} has method {fields['method']!r}, not 'ed' or 'mps'")
+    n = fields.integer("n_sites", 1)
+    if fields["method"] == "mps":
+        from . import mps
 
-def _ed_wavefunction(payload):
-    """The checked wavefunction of an ED state: momentum block (v2) or sector (v1)."""
-    _bind_basis()
-    n = _int_field(payload, "n_sites", 1)
-    if n > ED_CLI_CAP:
-        raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {n}")
-    if payload["format"] == STATE_FORMAT:
-        k_over_pi = _int_field(payload, "k_over_pi", 0)
-        if k_over_pi > 1:
-            raise ValueError(f"k_over_pi must be 0 or 1, got {k_over_pi}")
-        reps = np.array(payload["representatives"])
-        basis = MomentumBasis(n, 0, k_over_pi * n // 2, reps)
+        chi = fields.integer("chi", 1)
+        tensors = fields.numbers("tensors")
+        if tensors.shape != (n, 2, chi * chi):
+            raise ValueError(f"tensors have shape {tensors.shape}, expected {(n, 2, chi * chi)}")
+        state = mps.MpsState(n, chi, tensors.reshape(n, 2, chi, chi))
     else:
-        basis = enumerate_sector(n, _int_field(payload, "sz_total", -(n // 2)))
-    amps = _finite_array(payload, "amplitudes")
-    if amps.shape != (basis.dim,):
-        raise ValueError(f"{amps.size} amplitudes for {basis.dim} basis states")
-    norm2 = float(amps @ amps)
-    if abs(norm2 - 1.0) > 1e-10:
-        raise ValueError(f"amplitudes have squared norm {norm2:.12g}, not 1")
-    return Wavefunction(basis, amps)
+        _bind_basis()
+        if n > ED_CLI_CAP:
+            raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {n}")
+        if fields["format"] == STATE_FORMAT:
+            k_over_pi = fields.integer("k_over_pi", 0)
+            if k_over_pi > 1:
+                raise ValueError(f"k_over_pi must be 0 or 1, got {k_over_pi}")
+            reps = np.array(fields["representatives"])
+            basis = MomentumBasis(n, 0, k_over_pi * n // 2, reps)
+        else:
+            basis = enumerate_sector(n, fields.integer("sz_total", -(n // 2)))
+        amps = fields.numbers("amplitudes")
+        if amps.shape != (basis.dim,):
+            raise ValueError(f"{amps.size} amplitudes for {basis.dim} basis states")
+        norm2 = float(amps @ amps)
+        if abs(norm2 - 1.0) > 1e-10:
+            raise ValueError(f"amplitudes have squared norm {norm2:.12g}, not 1")
+        state = Wavefunction(basis, amps)
+    j = fields["j"]
+    if type(j) not in (int, float) or j == 0 or not -math.inf < j < math.inf:
+        raise ValueError(f"j must be a finite nonzero number, got {j!r}")
+    return fields, state
 
 
-def _state_to_correlation(payload):
-    from . import corr as corr_mod
+def _trace_check(spec):
+    """The manifest's check of the correlation-matrix trace: sum sqrt(lambda) = N / 4."""
+    return {"sum_sqrt_lambda": float(np.sum(spec.values)), "n_over_4": spec.n / 4}
 
-    if payload["method"] == "ed":
-        return corr_mod.build_from_wavefunction(_ed_wavefunction(payload))
-    from . import mps
 
-    n, chi = _int_field(payload, "n_sites", 1), _int_field(payload, "chi", 1)
-    tensors = _finite_array(payload, "tensors")
-    if tensors.shape != (n, 2, chi * chi):
-        raise ValueError(f"tensors have shape {tensors.shape}, expected {(n, 2, chi * chi)}")
-    return corr_mod.build_from_mps(mps.MpsState(n, chi, tensors.reshape(n, 2, chi, chi)))
+def _cmd_solve(args):
+    if args.n % 2 != 0 or args.n < 4:
+        raise InvalidSizeError(f"--n must be even and >= 4, got {args.n}")
+
+    state = {"format": STATE_FORMAT, "method": args.method, "n_sites": args.n, "j": args.j}
+    if args.method == "ed":
+        if args.n > ED_CLI_CAP:
+            raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {args.n}")
+        from . import exact
+
+        sol, cross_block_gap = exact.momentum_ground_state(args.n, args.j, seed=args.seed)
+        block = sol.wf.basis
+        state.update(
+            sz_total=0,
+            k_over_pi=block.k_over_pi,
+            energy=sol.energy,
+            residual_norm=sol.residual_norm,
+            representatives=block.configs.tolist(),
+            amplitudes=sol.wf.amps.tolist(),
+        )
+        extra = {
+            "chi": None,
+            "sweeps": None,
+            "residual_norm": sol.residual_norm,
+            "k_over_pi": block.k_over_pi,
+            "block_dim": block.dim,
+            "lanczos_iterations": sol.iterations,
+            "cross_block_gap": cross_block_gap,
+        }
+    else:
+        from . import mps
+
+        init = mps.random_init(args.n, args.chi, args.seed)
+        opt, reports = mps.sweep_optimize(init, args.j, n_sweeps=args.sweeps)
+        state.update(
+            chi=args.chi,
+            seed=args.seed,
+            sweep_count=args.sweeps,
+            energy=reports[-1].energy,
+            tensors=opt.tensors.reshape(args.n, 2, -1).tolist(),
+        )
+        extra = {
+            "chi": args.chi,
+            "sweeps": args.sweeps,
+            "final_energy_change": reports[-1].energy_change,
+            "guard_rejects": reports[-1].guard_rejects,
+            "local_iterations": reports[-1].local_iterations,
+        }
+
+    manifest = {"method": args.method, "n_sites": args.n, "j": args.j, "seed": args.seed}
+    manifest.update(extra, energy=state["energy"])
+    return {"state.json": (save_state, state)}, manifest, f"energy {_fmt(state['energy'])}"
 
 
 def _cmd_corr(args):
@@ -281,44 +263,20 @@ def _cmd_corr(args):
             raise ValueError("thermal mode needs --n")
         from . import exact
 
-        spectrum = exact.full_spectrum(args.n, args.j)
-        cm = corr_mod.build_thermal(spectrum, args.beta)
-        meta = {"beta": args.beta, "n_sites": args.n, "method": "thermal"}
+        cm = corr_mod.build_thermal(exact.full_spectrum(args.n, args.j), args.beta)
+        meta = {"beta": args.beta, "n_sites": args.n, "method": "thermal", "j": args.j}
     else:
         if args.state is None:
             raise ValueError("need --state FILE or --beta with --n")
-        payload = load_state(args.state)
-        cm = _state_to_correlation(payload)
-        meta = {
-            "beta": None,
-            "n_sites": payload["n_sites"],
-            "method": payload["method"],
-        }
+        fields, state = load_state(args.state)
+        ed = fields["method"] == "ed"
+        cm = (corr_mod.build_from_wavefunction if ed else corr_mod.build_from_mps)(state)
+        meta = {"beta": None, **{key: fields[key] for key in ("n_sites", "method", "j")}}
 
     spec = svd_analysis.eigendecompose(cm)
-    trace_check = {
-        "sum_sqrt_lambda": float(np.sum(spec.values)),
-        "n_over_4": cm.n_sites / 4,
-    }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    matrix_path = out / "matrix.csv"
-    pgm_path = out / "matrix.pgm"
-    write_matrix_csv(matrix_path, cm.entries)
-    write_pgm(pgm_path, cm.entries)
-    write_manifest(
-        out / "manifest.json",
-        {
-            "command": "corr",
-            "j": args.j,
-            "provenance": cm.provenance,
-            "trace_check": trace_check,
-            "artifacts": [matrix_path.name, pgm_path.name],
-            **meta,
-        },
-    )
-    print(f"correlation matrix ({cm.provenance}) -> {matrix_path}")
-    return 0
+    files = {"matrix.csv": (write_matrix_csv, cm.entries), "matrix.pgm": (write_pgm, cm.entries)}
+    meta.update(provenance=cm.provenance, trace_check=_trace_check(spec))
+    return files, meta, f"correlation matrix ({cm.provenance})"
 
 
 def _cmd_analyze(args):
@@ -331,62 +289,27 @@ def _cmd_analyze(args):
         raise ValueError(f"--components must lie in 1..{matrix.shape[0]}, got {bad}")
     matrix = corr_mod._mirror(matrix)  # exact symmetry for eigh
     spec = svd_analysis.eigendecompose(matrix)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    n_sites = spec.n
-    artifacts = []
-
-    spectrum_path = out / "spectrum.csv"
-    with open(spectrum_path, "w") as fh:
-        fh.write("n,sqrt_lambda,lambda\n")
-        for k, v in enumerate(spec.values, start=1):
-            fh.write(f"{k},{_fmt(v)},{_fmt(v * v)}\n")
-    artifacts.append(spectrum_path.name)
-
-    if args.components:
-        for n in args.components:
-            comp = svd_analysis.component(spec, n)
-            path = out / f"component_{n}.csv"
-            write_matrix_csv(path, comp.matrix)
-            artifacts.append(path.name)
-
+    with np.errstate(over="ignore"):
+        squares = spec.values * spec.values
+    if not np.isfinite(squares).all():
+        raise ValueError(f"matrix in {args.matrix} is out of range: its squared spectrum overflows")
+    rows = [f"{k},{_fmt(v)},{_fmt(v2)}\n" for k, (v, v2) in enumerate(zip(spec.values, squares), 1)]
+    files = {"spectrum.csv": (_write_text, "n,sqrt_lambda,lambda\n" + "".join(rows))}
+    for n in args.components or []:
+        files[f"component_{n}.csv"] = (write_matrix_csv, svd_analysis.component(spec, n).matrix)
     if args.fit:
-        fit = svd_analysis.fit_scaling(spec)
-        fit_path = out / "fit.json"
-        fit_path.write_text(_json_text(asdict(fit)))
-        artifacts.append(fit_path.name)
-
+        files["fit.json"] = (_write_text, _json_text(asdict(svd_analysis.fit_scaling(spec))))
     if args.domains:
-        dom_path = out / "domains.csv"
-        with open(dom_path, "w") as fh:
-            fh.write("n,k,L,wall_count\n")
-            for n in range(1, n_sites + 1):
-                d = svd_analysis.measure_domain_size(
-                    spec.vectors[:, n - 1], n=n, threshold=args.domain_threshold
-                )
-                fh.write(f"{n},{_fmt(d.wavenumber)},{_fmt(d.domain_size)},{d.wall_count}\n")
-        artifacts.append(dom_path.name)
-
+        found = [
+            svd_analysis.measure_domain_size(v, n=n, threshold=args.domain_threshold)
+            for n, v in enumerate(spec.vectors.T, 1)
+        ]
+        rows = [f"{d.n},{_fmt(d.wavenumber)},{_fmt(d.domain_size)},{d.wall_count}\n" for d in found]
+        files["domains.csv"] = (_write_text, "n,k,L,wall_count\n" + "".join(rows))
     if args.haar:
-        haar_path = out / "haar.csv"
-        write_matrix_csv(haar_path, svd_analysis.haar_transform(matrix))
-        artifacts.append(haar_path.name)
-
-    write_manifest(
-        out / "manifest.json",
-        {
-            "command": "analyze",
-            "n_sites": n_sites,
-            "matrix": str(args.matrix),
-            "trace_check": {
-                "sum_sqrt_lambda": float(np.sum(spec.values)),
-                "n_over_4": n_sites / 4,
-            },
-            "artifacts": artifacts,
-        },
-    )
-    print(f"spectrum -> {spectrum_path}")
-    return 0
+        files["haar.csv"] = (write_matrix_csv, svd_analysis.haar_transform(matrix))
+    fields = {"n_sites": spec.n, "matrix": str(args.matrix), "trace_check": _trace_check(spec)}
+    return files, fields, "spectrum"
 
 
 def _cmd_oracle4(args):
@@ -394,13 +317,8 @@ def _cmd_oracle4(args):
 
     text = _json_text(four_site.as_json_dict())
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        path = Path(args.out) / "oracle4.json"
-        path.write_text(text)
-        print(f"reference values -> {path}")
-    else:
-        print(text, end="")
-    return 0
+        return {"oracle4.json": (_write_text, text)}, None, "reference values"
+    print(text, end="")
 
 
 def _parse_components(text):
@@ -432,7 +350,10 @@ def _beta(text):
 
 
 def _coupling(text):
-    return _finite_float(text, lambda v: v != 0, "a finite nonzero number")
+    # every energy is |J| times a J = 1 value; the bounds keep it inside the float range
+    return _finite_float(
+        text, lambda v: 1e-300 <= abs(v) <= 1e300, "a number with 1e-300 <= |J| <= 1e300"
+    )
 
 
 def _domain_threshold(text):
@@ -492,7 +413,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a command returns ({file name: (writer, data)}, manifest fields or None, label)
+        result = args.func(args)
+        if result is not None:
+            files, fields, label = result
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, (write, data) in files.items():
+                write(out / name, data)
+            if fields is not None:
+                manifest = {"command": args.command, **fields, "artifacts": [*files]}
+                write_manifest(out / "manifest.json", manifest)
+            print(f"{label} -> {out / next(iter(files))}")
+        return 0
     except (
         ConvergenceError,
         ConditioningError,
@@ -501,7 +434,14 @@ def main(argv=None):
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidSizeError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (
+        InvalidSizeError,
+        ValueError,
+        OSError,
+        KeyError,
+        OverflowError,  # a JSON integer beyond the float range
+        json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -77,22 +77,26 @@ def lanczos_ground_state(basis, j_coupling=1.0, seed=0, min_gap=1e-8):
     """Lowest eigenpair of H on the basis by `lanczos.lowest_ritz_pair`.
 
     The basis is a `SectorBasis` or a `MomentumBasis`. The start vector is
-    seeded, so runs are reproducible. Lanczos stops at a residual estimate
-    of _LANCZOS_TOL times the largest |Ritz value|, well below the 1e-10
-    acceptance bound, so that downstream correlators hold their 1e-12
-    invariants. A gap > min_gap between the two lowest Ritz values is
-    required (even-N rings have a unique S_z=0 ground state; anything else
-    is a usage error); min_gap=None leaves the check to the caller, which
-    reads `gap`. A Krylov space that closes before a second Ritz value
-    exists measures no gap and raises, unless the basis holds one state: its
-    one step is exact and `gap` is None.
+    seeded, so runs are reproducible. Lanczos runs on H / |J|, so that the
+    state depends on the sign of J only; the energy, residual and gap are
+    scaled by |J| afterwards, and the bounds below hold in units of |J|.
+    Lanczos stops at a residual estimate of _LANCZOS_TOL times the largest
+    |Ritz value|, well below the 1e-10 acceptance bound, so that downstream
+    correlators hold their 1e-12 invariants. A gap > min_gap between the
+    two lowest Ritz values is required (even-N rings have a unique S_z=0
+    ground state; anything else is a usage error); min_gap=None leaves the
+    check to the caller, which reads `gap`. A Krylov space that closes
+    before a second Ritz value exists measures no gap and raises, unless the
+    basis holds one state: its one step is exact and `gap` is None.
     """
     dim = basis.dim
     if dim == 0:
         raise ValueError("empty sector basis")
 
+    unit = abs(j_coupling) or 1.0  # J = 0 is the zero operator: its space closes at once
+
     def matvec(v):  # the module attribute, so that a wrapped one is called
-        return apply_hamiltonian_to_array(basis, v, j_coupling)
+        return apply_hamiltonian_to_array(basis, v, j_coupling / unit)
 
     start = np.random.default_rng(seed).standard_normal(dim)
     thetas, ritz, steps, converged = lowest_ritz_pair(
@@ -117,7 +121,8 @@ def lanczos_ground_state(basis, j_coupling=1.0, seed=0, min_gap=1e-8):
             f"Ritz gap {gap:.3e} <= {min_gap:g} at iteration {steps - 1}"
         )
     ritz = _fix_sign(basis, ritz)
-    return GroundSolution(theta, Wavefunction(basis, ritz), residual, steps, gap)
+    gap = None if gap is None else unit * gap
+    return GroundSolution(unit * theta, Wavefunction(basis, ritz), unit * residual, steps, gap)
 
 
 def momentum_ground_state(n_sites, j_coupling=1.0, seed=0):
@@ -129,7 +134,7 @@ def momentum_ground_state(n_sites, j_coupling=1.0, seed=0):
     orbits; Lanczos runs on each, its operator is dropped once it has run, and
     the lower block is kept. Returns (solution, cross_block_gap), the second being
     |E0(0) - E0(pi)|. Raises DegenerateGroundStateError when that gap or the
-    Ritz gap inside the kept block is <= 1e-8; a gap in the other block does
+    Ritz gap inside the kept block is <= 1e-8 |J|; a gap in the other block does
     not matter.
     """
     orbits = translation_orbits(enumerate_sector(n_sites, 0))
@@ -140,8 +145,9 @@ def momentum_ground_state(n_sites, j_coupling=1.0, seed=0):
         vars(block).pop("hamiltonian", None)  # free its hop values before the next block
     best = min(lowest, key=lambda sol: sol.energy)
     cross_block_gap = abs(lowest[0].energy - lowest[1].energy)
-    for name, gap in (("Ritz gap", best.gap), ("k = 0 / pi gap", cross_block_gap)):
-        if gap <= 1e-8:
+    unit = abs(j_coupling)
+    for name, gap in (("Ritz gap", best.gap / unit), ("k = 0 / pi gap", cross_block_gap / unit)):
+        if gap <= 1e-8:  # in units of |J|
             raise DegenerateGroundStateError(f"{name} {gap:.3e} <= 1e-8")
     return best, cross_block_gap
 

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -46,12 +48,16 @@ def test_solve_ed_manifest_records_the_block(tmp_path):
     assert state["k_over_pi"] == 1 and len(state["representatives"]) == 4
 
 
-def assert_rejected(argv, out, capsys):
-    """Exit 1, one error line on stderr, and no --out directory left behind."""
+def assert_rejected(argv, out, capsys, may_succeed=False):
+    """Exit 1, one error line on stderr, and no --out directory left behind;
+    with may_succeed, exit 0 passes too."""
     try:
         code = run(argv + ["--out", str(out)])
     except SystemExit as exc:  # rejected while parsing the arguments
         code = exc.code
+    if may_succeed and code == 0:
+        capsys.readouterr()
+        return None
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -114,8 +120,21 @@ def test_solve_rejects_nonpositive_counts(tmp_path, capsys, flag):
         (["corr", "--beta", "1", "--n", "6", "--j", "0"], "--j"),
         (["solve", "--method", "ed", "--n", "6", "--j", "0"], "--j"),
         (["solve", "--method", "mps", "--n", "6", "--chi", "2", "--sweeps", "1", "--j", "nan"], "--j"),
+        (["solve", "--method", "ed", "--n", "6", "--j", "1e301"], "--j"),
+        (["solve", "--method", "mps", "--n", "6", "--chi", "2", "--j=-1e301"], "--j"),
+        (["corr", "--beta", "1", "--n", "6", "--j", "1e-301"], "--j"),
     ],
-    ids=["beta-inf", "beta-nan", "beta-negative", "corr-j-zero", "ed-j-zero", "mps-j-nan"],
+    ids=[
+        "beta-inf",
+        "beta-nan",
+        "beta-negative",
+        "corr-j-zero",
+        "ed-j-zero",
+        "mps-j-nan",
+        "ed-j-huge",
+        "mps-j-huge",
+        "corr-j-tiny",
+    ],
 )
 def test_rejects_non_finite_or_zero_parameters(tmp_path, capsys, argv, flag):
     err = assert_rejected(argv, tmp_path / "run", capsys)
@@ -261,6 +280,24 @@ def test_corr_thermal_huge_beta_is_silent(tmp_path):
     assert csv[0] == csv[1]
 
 
+def test_corr_records_the_state_coupling(tmp_path):
+    # --j is the thermal coupling; a state's own J goes into the corr manifest
+    solve = ["solve", "--method", "ed", "--n", "6", "--j", "2", "--out", str(tmp_path / "solve")]
+    assert run(solve) == 0
+    corr = ["corr", "--state", str(tmp_path / "solve" / "state.json"), "--out", str(tmp_path / "corr")]
+    assert run(corr) == 0
+    assert json.loads((tmp_path / "corr" / "manifest.json").read_text())["j"] == 2.0
+
+
+@pytest.mark.parametrize("j", [None, True, 0, "x", [], [1], {}], ids=repr)
+def test_corr_rejects_state_without_valid_coupling(tmp_path, capsys, j):
+    payload = {**_ed_state(tmp_path), "j": j}
+    capsys.readouterr()
+    argv = ["corr", "--state", str(_write_state(tmp_path, payload))]
+    err = assert_rejected(argv, tmp_path / "corr", capsys)
+    assert err == f"error: j must be a finite nonzero number, got {j!r}\n"
+
+
 def _v1_state(n=8):
     sol = lanczos_ground_state(enumerate_sector(n, 0))
     v1 = {
@@ -297,6 +334,87 @@ def test_corr_reads_v1_ed_state(tmp_path):
     v2_path = tmp_path / "solve" / "state.json"
     assert run(["corr", "--state", str(v2_path), "--out", str(corr_v2)]) == 0
     assert np.max(np.abs(m_v1 - cli.read_matrix_csv(corr_v2 / "matrix.csv"))) < 1e-12
+
+
+FUZZ_VALUES = [None, True, 0, -1, 2, 1.5, "x", [], [1], {}, 1e308]
+_DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def saved_states(tmp_path_factory):
+    """Valid MPS (N = 4), ED v2 (N = 6) and ED v1 (N = 4) state files, as JSON objects."""
+    tmp = tmp_path_factory.mktemp("states")
+    solve = {
+        "mps": ["--method", "mps", "--n", "4", "--chi", "2", "--sweeps", "1"],
+        "ed-v2": ["--method", "ed", "--n", "6"],
+    }
+    states = {"ed-v1": _v1_state(4)[1]}
+    for kind, argv in solve.items():
+        assert run(["solve", *argv, "--out", str(tmp / kind)]) == 0
+        states[kind] = json.loads((tmp / kind / "state.json").read_text())
+    return states
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_corr_on_mutated_states_keeps_the_exit_contract(saved_states, tmp_path, capsys, data):
+    # one or two fields of a valid state deleted or set to an odd JSON value
+    payload = dict(saved_states[data.draw(st.sampled_from(sorted(saved_states)))])
+    names = data.draw(st.lists(st.sampled_from(sorted(payload)), min_size=1, max_size=2, unique=True))
+    for name in names:
+        value = data.draw(st.sampled_from([_DELETE, *FUZZ_VALUES]))
+        if value is _DELETE:
+            del payload[name]
+        else:
+            payload[name] = value
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = ["corr", "--state", str(_write_state(run_dir, payload))]
+    assert_rejected(argv, run_dir / "corr", capsys, may_succeed=True)
+
+
+def run_quietly(argv):
+    """The CLI in a fresh interpreter with every warning an error: (exit code, stderr)."""
+    cmd = [sys.executable, "-W", "error", "-m", "spinsvd.cli", *map(str, argv)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--method", "ed", "--n", "16", "--j", "1e3"],
+        ["solve", "--method", "ed", "--n", "12", "--j", "1e-9"],
+        ["solve", "--method", "mps", "--n", "16", "--chi", "4", "--sweeps", "1", "--j", "1e300"],
+        ["corr", "--beta", "1e308", "--n", "6"],
+    ],
+    ids=["ed-j-1e3", "ed-j-1e-9", "mps-j-1e300", "beta-1e308"],
+)
+def test_extreme_valid_inputs_run_silently(tmp_path, argv):
+    assert run_quietly(argv + ["--out", tmp_path / "out"]) == (0, "")
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "matrix,flags",
+    [("ed8", ["--fit"]), ("3x3", ["--haar"]), ("1e308", [])],
+    ids=["fit-of-two-points", "haar-of-odd-size", "overflowing-spectrum"],
+)
+def test_analyze_failure_leaves_no_output(tmp_path, ground_n8, matrix, flags):
+    # each result is computed before --out is made; the ED N = 8 spectrum has two fit points
+    entries = {
+        "ed8": build_from_wavefunction(ground_n8.wf).entries,
+        "3x3": four_site.reference_correlation_matrix().entries[:3, :3],
+        "1e308": 1e308 * np.eye(4),
+    }
+    cli.write_matrix_csv(tmp_path / "m.csv", entries[matrix])
+    code, err = run_quietly(["analyze", "--matrix", tmp_path / "m.csv", *flags, "--out", tmp_path / "an"])
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "an").exists()
 
 
 def test_corr_thermal_beta0(tmp_path):
@@ -622,6 +740,11 @@ def _bool_first_entry(tensors):
     return tensors
 
 
+def _huge_int_first_entry(tensors):
+    tensors[0][0][0] = 10**400  # a JSON integer beyond the float range
+    return tensors
+
+
 @pytest.mark.parametrize(
     "field,edit,message",
     [
@@ -634,6 +757,7 @@ def _bool_first_entry(tensors):
         ("tensors", _object_first_entry, "non-numeric tensors"),
         ("tensors", _string_first_entry, "non-numeric tensors"),
         ("tensors", _bool_first_entry, "non-numeric tensors"),
+        ("tensors", _huge_int_first_entry, "int too large to convert to float"),
     ],
     ids=[
         "chi-string",
@@ -645,6 +769,7 @@ def _bool_first_entry(tensors):
         "object-tensor",
         "string-tensor",
         "bool-tensor",
+        "huge-int-tensor",
     ],
 )
 def test_corr_rejects_malformed_mps_state(tmp_path, capsys, field, edit, message):

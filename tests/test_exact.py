@@ -78,6 +78,17 @@ def test_j_scaling():
     assert lanczos_ground_state(b, j_coupling=2.5).energy == pytest.approx(-5.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("j_coupling", [1e-9, 1e3, 1e300])
+@pytest.mark.parametrize("n", [12, 16])
+def test_energy_scales_with_j(n, j_coupling):
+    # Lanczos runs at unit |J|: the residual and gap bounds do not see the size of J
+    ref, ref_gap = momentum_ground_state(n)
+    sol, cross_block_gap = momentum_ground_state(n, j_coupling)
+    assert abs(sol.energy - j_coupling * ref.energy) <= 1e-12 * abs(j_coupling * ref.energy)
+    assert abs(cross_block_gap - j_coupling * ref_gap) <= 1e-9 * j_coupling * ref_gap
+    assert np.array_equal(sol.wf.amps, ref.wf.amps)
+
+
 def test_closed_krylov_space_raises():
     # at J = 0 the start vector is an eigenvector: the space closes at iteration 0
     with pytest.raises(DegenerateGroundStateError, match="Krylov space closed"):
