@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -245,7 +246,6 @@ def _cmd_solve(args):
             "chi": args.chi,
             "sweeps": args.sweeps,
             "final_energy_change": reports[-1].energy_change,
-            "guard_rejects": reports[-1].guard_rejects,
             "local_iterations": reports[-1].local_iterations,
         }
 
@@ -361,7 +361,12 @@ def _domain_threshold(text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors print one error: line and exit 1; exit 2 is kept for numerics."""
+    """Usage errors print one error: line and exit 1; exit 2 is kept for numerics.
+    Subparsers share the class, so each reads -1e-3 as a number, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.exit(1, f"error: {self.prog}: {message}\n")

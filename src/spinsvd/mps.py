@@ -29,11 +29,9 @@ _SA = np.array([[0.0, -0.5], [0.5, 0.0]])  # (S+ - S-)/2, with S+ = |1><0|
 _I2 = np.eye(2)
 _OPS = np.stack([_I2, _SZ, _SX, _SA])
 
-# N_eff regularization: relative identity shift and relative cutoff below
-# which Gram directions are projected out (PBC Gram matrices are routinely
-# near-singular).
+# N_eff regularization: relative identity shift of the Gram matrix, whose
+# conditioning the sweep's gauge shift keeps in check.
 _NEFF_EPS = 1e-10
-_NEFF_CUTOFF = 1e-8
 # Local eigensolver (Lanczos over the whole local space): a Ritz pair is
 # accepted once its residual is at most _RITZ_TOL times the largest Ritz
 # value's magnitude. _START_MIX is the weight of the fixed vector added to
@@ -46,7 +44,6 @@ _START_MIX = 1e-3
 class SiteUpdate:
     energy: float  # global Rayleigh quotient after the update
     steps: int  # Lanczos steps of the local solve
-    rejected: bool  # the monotonic guard kept the old tensor
 
 
 @dataclass
@@ -54,7 +51,6 @@ class SweepReport:
     sweep_index: int
     energy: float
     energy_change: float
-    guard_rejects: int  # sites where the monotonic guard kept the old tensor
     local_iterations: int  # Lanczos steps of the local solves
 
 
@@ -319,33 +315,29 @@ def _lowest_eigenpair(a, y0):
 
 
 def _solve_site(heff, nenv, x_old):
-    """Lowest generalized eigenpair on the well-conditioned Gram subspace.
+    """Lowest generalized eigenpair in the whitened Gram metric.
 
-    N_eff = I_2 (x) nenv, so eigh runs on nenv and W = I_2 (x) W_env. The
-    projected matrix is assembled from the chi^2 blocks W_env^T H_ss' W_env
-    of H_00, H_11 and H_10 (H_01 = H_10^T), and Lanczos starts from x_old's
-    coordinates D^(1/2) V^T x_old. Returns the site vector and the Lanczos
-    steps.
+    N_eff = I_2 (x) nenv, so eigh runs on the shifted nenv and W = I_2 (x)
+    W_env with W_env = V D^(-1/2), every direction kept. The whitened matrix
+    is assembled from the chi^2 blocks W_env^T H_ss' W_env of H_00, H_11 and
+    H_10 (H_01 = H_10^T), and Lanczos starts from x_old's coordinates
+    D^(1/2) V^T x_old. Returns the site vector and the Lanczos steps.
     """
     dim = nenv.shape[0]
     shift = _NEFF_EPS * np.trace(nenv) / dim
     d, v = np.linalg.eigh(nenv + shift * np.eye(dim))
-    keep = d > _NEFF_CUTOFF * d[-1]
-    if not np.any(keep):
-        raise ConditioningError(
-            f"all {2 * dim} Gram directions below cutoff (max eigenvalue {d[-1]:.3e})"
-        )
-    root = np.sqrt(d[keep])
-    w = v[:, keep] / root
-    m = w.shape[1]
+    if not d[0] > 0:
+        raise ConditioningError(f"Gram matrix not positive definite (lowest eigenvalue {d[0]:.3e})")
+    root = np.sqrt(d)
+    w = v / root
     h00, h11 = w.T @ heff[:dim, :dim] @ w, w.T @ heff[dim:, dim:] @ w
-    ht = np.empty((2 * m, 2 * m))
-    ht[:m, :m], ht[m:, m:] = 0.5 * (h00 + h00.T), 0.5 * (h11 + h11.T)
-    ht[m:, :m] = w.T @ heff[dim:, :dim] @ w
-    ht[:m, m:] = ht[m:, :m].T  # heff is symmetric, so H_01 = H_10^T
-    y0 = (x_old.reshape(2, dim) @ v[:, keep]) * root
+    ht = np.empty((2 * dim, 2 * dim))
+    ht[:dim, :dim], ht[dim:, dim:] = 0.5 * (h00 + h00.T), 0.5 * (h11 + h11.T)
+    ht[dim:, :dim] = w.T @ heff[dim:, :dim] @ w
+    ht[:dim, dim:] = ht[dim:, :dim].T  # heff is symmetric, so H_01 = H_10^T
+    y0 = (x_old.reshape(2, dim) @ v) * root
     _, y, steps = _lowest_eigenpair(ht, y0.reshape(-1))
-    return (y.reshape(2, m) @ w.T).reshape(-1), steps
+    return (y.reshape(2, dim) @ w.T).reshape(-1), steps
 
 
 def optimize_site(state, site, j_coupling=1.0, env=None):
@@ -353,34 +345,33 @@ def optimize_site(state, site, j_coupling=1.0, env=None):
 
     Mutates state in place. The update's energy is the new global Rayleigh
     quotient (equal to the generalized eigenvalue of the local problem).
-    env is the site's ring environment block; when not given, the sweep's
-    environment generator is run up to the site.
+    Below the last site, the new tensor's QR over (s a, b) leaves Q there and
+    R A^s at site + 1: the same state, in the left-canonical gauge that keeps
+    the next Gram matrix well conditioned. env is the site's ring environment
+    block; when not given, the sweep's environment generator is run up to it.
     """
     if not 0 <= site < state.n_sites:
         raise IndexError(f"site {site} out of range for n_sites={state.n_sites}")
     if env is None:
         env = next(e for k, e in _sweep_envs(state) if k == site)
     heff, nenv = _site_matrices(env, state.chi, j_coupling)
-    x_old = state.tensors[site].reshape(-1)
-    e_old = float(x_old @ heff @ x_old) / _gram(x_old, nenv)
-    x, steps = _solve_site(heff, nenv, x_old)
+    x, steps = _solve_site(heff, nenv, state.tensors[site].reshape(-1))
     n2 = _gram(x, nenv)
     if not np.isfinite(n2) or n2 <= 0:
         raise ConditioningError(f"updated site has non-positive norm {n2:.3e}")
-    e_new = float(x @ heff @ x) / n2
-    if e_new >= e_old:
-        # the projected subspace can miss part of the current tensor when
-        # Gram directions are discarded; never accept an energy rise
-        return SiteUpdate(e_old, steps, True)
-    state.tensors[site] = (x / np.sqrt(n2)).reshape(2, state.chi, state.chi)
-    return SiteUpdate(e_new, steps, False)
+    a = (x / np.sqrt(n2)).reshape(2 * state.chi, state.chi)
+    if site + 1 < state.n_sites:
+        a, r = np.linalg.qr(a)
+        state.tensors[site + 1] = r @ state.tensors[site + 1]
+    state.tensors[site] = a.reshape(2, state.chi, state.chi)
+    return SiteUpdate(float(x @ heff @ x) / n2, steps)
 
 
 def sweep_optimize(state, j_coupling=1.0, n_sweeps=40):
     """Sequential site-by-site optimization, n_sweeps full forward passes.
 
     Returns the optimized copy and one SweepReport per sweep, which sums the
-    guard rejections and Lanczos steps of that sweep's SiteUpdates.
+    Lanczos steps of that sweep's SiteUpdates.
     """
     if n_sweeps < 1:
         raise ValueError(f"n_sweeps must be >= 1, got {n_sweeps}")
@@ -390,8 +381,7 @@ def sweep_optimize(state, j_coupling=1.0, n_sweeps=40):
         updates = [optimize_site(state, site, j_coupling, env) for site, env in _sweep_envs(state)]
         e_sweep = updates[-1].energy
         change = e_sweep - reports[-1].energy if reports else np.nan
-        rejects, steps = sum(u.rejected for u in updates), sum(u.steps for u in updates)
-        reports.append(SweepReport(sweep, e_sweep, change, rejects, steps))
+        reports.append(SweepReport(sweep, e_sweep, change, sum(u.steps for u in updates)))
     return state, reports
 
 

@@ -56,6 +56,37 @@ def ring_env(state, site):
     return env
 
 
+def bethe_energy(n_sites):
+    """Ground-state energy of the even J = 1 ring by Bethe ansatz.
+
+    Independent oracle: shares nothing with basis or mps. The rapidities
+    solve N arctan(2 l_j) = pi I_j + sum_k arctan(l_j - l_k), with
+    I_j = -(M-1)/2 ... (M-1)/2 and M = N/2, and E = N/4 - sum_j 2/(4 l_j^2 + 1).
+    A fixed-point iteration from the free rapidities, then Newton with
+    backtracking down to the rounding floor of the equations.
+    """
+    phases = np.pi * (np.arange(n_sites // 2) - (n_sites // 2 - 1) / 2)
+
+    def residual(lam):
+        return n_sites * np.arctan(2 * lam) - phases - np.arctan(lam[:, None] - lam).sum(1)
+
+    lam = 0.5 * np.tan(phases / n_sites)
+    for _ in range(100):
+        lam = 0.5 * np.tan((phases + np.arctan(lam[:, None] - lam).sum(1)) / n_sites)
+    f = residual(lam)
+    for _ in range(50):
+        if np.abs(f).max() <= 1e-13 * n_sites:
+            return n_sites / 4 - float(np.sum(2 / (4 * lam**2 + 1)))
+        pair = 1 / (1 + (lam[:, None] - lam) ** 2)
+        step = np.linalg.solve(pair - np.diag(pair.sum(1) - 2 * n_sites / (1 + 4 * lam**2)), -f)
+        scale = 1.0
+        while scale > 1e-6 and np.linalg.norm(residual(lam + scale * step)) > np.linalg.norm(f):
+            scale /= 2
+        lam = lam + scale * step
+        f = residual(lam)
+    raise RuntimeError(f"Bethe equations unsolved at N = {n_sites} (residual {np.abs(f).max():.1e})")
+
+
 def correlator_zz(wf, i, j):
     """<wf| Sz_i Sz_j |wf>, one entry at a time; diagonal in the configuration basis."""
     n = wf.basis.n_sites
@@ -111,6 +142,13 @@ def mps_run_n64():
     t0 = time.perf_counter()
     state, reports = mps.sweep_optimize(mps.random_init(64, 10, seed=0), n_sweeps=40)
     return state, reports, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def mps_ed_n24():
+    """The N=24 chi=10 40-sweep MPS (seed 0) and the momentum-block ED ground state."""
+    state, reports = mps.sweep_optimize(mps.random_init(24, 10, seed=0), n_sweeps=40)
+    return state, reports, exact.momentum_ground_state(24)[0]
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embed_in_full_space, kron_hamiltonian
+from conftest import bethe_energy, embed_in_full_space, kron_hamiltonian
 from spinsvd import exact
 from spinsvd.basis import SectorBasis, dense_hamiltonian, enumerate_sector, neel_config
 from spinsvd.corr import build_from_wavefunction, build_thermal
@@ -29,6 +29,11 @@ def test_ground_energy_n4(ground_n4):
 def test_ground_amplitudes_n4(ground_n4):
     expected = np.array([-1, 2, -1, -1, 2, -1]) / np.sqrt(12)
     assert np.max(np.abs(ground_n4.wf.amps - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_momentum_ground_state_matches_bethe_ansatz(n):
+    assert momentum_ground_state(n)[0].energy == pytest.approx(bethe_energy(n), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
