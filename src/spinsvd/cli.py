@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,11 +66,7 @@ def _fmt(x):
 
 def write_matrix_csv(path, matrix):
     """One line of 17-significant-digit values per row, as `_fmt` writes them."""
-    matrix = np.asarray(matrix, dtype=float)
-    row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        for row in matrix.tolist():
-            fh.write(row_format % tuple(row))
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
 
 
 def read_matrix_csv(path):
@@ -418,8 +415,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a command returns ({file name: (writer, data)}, manifest fields or None, label)
-        result = args.func(args)
+        # a command returns ({file name: (writer, data)}, manifest fields or None, label);
+        # what its UserWarnings say is in the manifest or fit.json, so they go unprinted
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = args.func(args)
         if result is not None:
             files, fields, label = result
             out = Path(args.out)

@@ -317,25 +317,22 @@ def _lowest_eigenpair(a, y0):
 def _solve_site(heff, nenv, x_old):
     """Lowest generalized eigenpair in the whitened Gram metric.
 
-    N_eff = I_2 (x) nenv, so eigh runs on the shifted nenv and W = I_2 (x)
-    W_env with W_env = V D^(-1/2), every direction kept. The whitened matrix
-    is assembled from the chi^2 blocks W_env^T H_ss' W_env of H_00, H_11 and
-    H_10 (H_01 = H_10^T), and Lanczos starts from x_old's coordinates
-    D^(1/2) V^T x_old. Returns the site vector and the Lanczos steps.
+    N_eff = I_2 (x) nenv, and the Cholesky factor of the shifted nenv = C C^T
+    gives W = I_2 (x) C^-T, every direction kept (LinAlgError if not positive
+    definite). The whitened matrix is assembled from the chi^2 blocks C^-1
+    H_ss' C^-T of H_00, H_11 and H_10 (H_01 = H_10^T), and Lanczos starts
+    from x_old's coordinates C^T x_old. Returns the site vector and steps.
     """
     dim = nenv.shape[0]
     shift = _NEFF_EPS * np.trace(nenv) / dim
-    d, v = np.linalg.eigh(nenv + shift * np.eye(dim))
-    if not d[0] > 0:
-        raise ConditioningError(f"Gram matrix not positive definite (lowest eigenvalue {d[0]:.3e})")
-    root = np.sqrt(d)
-    w = v / root
+    c = np.linalg.cholesky(nenv + shift * np.eye(dim))
+    w = np.linalg.inv(c).T
     h00, h11 = w.T @ heff[:dim, :dim] @ w, w.T @ heff[dim:, dim:] @ w
     ht = np.empty((2 * dim, 2 * dim))
     ht[:dim, :dim], ht[dim:, dim:] = 0.5 * (h00 + h00.T), 0.5 * (h11 + h11.T)
     ht[dim:, :dim] = w.T @ heff[dim:, :dim] @ w
     ht[:dim, dim:] = ht[dim:, :dim].T  # heff is symmetric, so H_01 = H_10^T
-    y0 = (x_old.reshape(2, dim) @ v) * root
+    y0 = x_old.reshape(2, dim) @ c
     _, y, steps = _lowest_eigenpair(ht, y0.reshape(-1))
     return (y.reshape(2, dim) @ w.T).reshape(-1), steps
 
@@ -411,6 +408,8 @@ def correlation_matrix(state):
                     np.matmul(left, e[j], out=spare)
                     left, spare = spare, left
             prefix = prefix @ e[i]
+    if not (np.isfinite(n2) and np.isfinite(traces).all()):
+        raise ConditioningError("transfer products overflow (state far from unit norm)")
     if abs(n2) < 1e-300:
         raise ConditioningError("state norm vanishes")
     out = (traces + traces.T) / n2

@@ -169,7 +169,11 @@ def fit_scaling(spec, fit_set=None, use_exp_cutoff=True):
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 and ss_res < 1e-20 else 1.0 - ss_res / ss_tot if ss_tot > 0 else -np.inf
-    return ScalingFit(float(np.exp(loga)), float(p), use_exp_cutoff, r2, usable)
+    with np.errstate(over="ignore"):
+        amplitude = float(np.exp(loga))
+    if amplitude == np.inf:
+        raise ValueError(f"scaling fit amplitude exp({loga:.6g}) overflows")
+    return ScalingFit(amplitude, float(p), use_exp_cutoff, r2, usable)
 
 
 def kernel_reconstruct(n_sites, separations):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,20 +424,129 @@ def test_extreme_valid_inputs_run_silently(tmp_path, argv):
 
 @pytest.mark.parametrize(
     "matrix,flags",
-    [("ed8", ["--fit"]), ("3x3", ["--haar"]), ("1e308", [])],
-    ids=["fit-of-two-points", "haar-of-odd-size", "overflowing-spectrum"],
+    [
+        ("ed8", ["--fit"]),
+        ("3x3", ["--haar"]),
+        ("1e308", []),
+        ("zero8", ["--fit"]),
+        ("1.3e154", ["--fit"]),
+    ],
+    ids=[
+        "fit-of-two-points",
+        "haar-of-odd-size",
+        "overflowing-spectrum",
+        "fit-of-zero-matrix",
+        "overflowing-fit-amplitude",
+    ],
 )
 def test_analyze_failure_leaves_no_output(tmp_path, ground_n8, matrix, flags):
-    # each result is computed before --out is made; the ED N = 8 spectrum has two fit points
+    # each result is computed before --out is made; the ED N = 8 spectrum has two
+    # fit points, and the zero matrix none, whose exclusion warnings stay unprinted
     entries = {
         "ed8": build_from_wavefunction(ground_n8.wf).entries,
         "3x3": four_site.reference_correlation_matrix().entries[:3, :3],
         "1e308": 1e308 * np.eye(4),
+        "zero8": np.zeros((8, 8)),
+        "1.3e154": 1.3e154 * np.eye(10),  # lambda_n e^(n/N) beyond the float range
     }
     cli.write_matrix_csv(tmp_path / "m.csv", entries[matrix])
     code, err = run_quietly(["analyze", "--matrix", tmp_path / "m.csv", *flags, "--out", tmp_path / "an"])
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
     assert not (tmp_path / "an").exists()
+
+
+def test_corr_of_a_nonzero_sz_state_runs_silently(tmp_path):
+    # the library's S_z != 0 warning is recorded as the manifest's provenance
+    payload = {**_v1_state(4)[1], "sz_total": 1, "amplitudes": [0.5] * 4}
+    out = tmp_path / "corr"
+    assert run_quietly(["corr", "--state", _write_state(tmp_path, payload), "--out", out]) == (0, "")
+    assert json.loads((out / "manifest.json").read_text())["provenance"] == "ed-ground-sz!=0"
+
+
+@pytest.mark.parametrize("big", [1e5, 1e200])
+def test_corr_of_an_unnormalized_mps_state_exits_2(tmp_path, big):
+    # a valid schema, but each transfer matrix holds entries near 2 big^2, so the
+    # ring products overflow (already in the transfer matrices at 1e200)
+    payload = {
+        "format": cli.STATE_FORMAT,
+        "method": "mps",
+        "n_sites": 64,
+        "chi": 2,
+        "j": 1.0,
+        "tensors": [[[big, 0.1, 0.3, big]] * 2] * 64,
+    }
+    out = tmp_path / "corr"
+    code, err = run_quietly(["corr", "--state", _write_state(tmp_path, payload), "--out", out])
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
+    assert "overflow" in err
+    assert not out.exists()
+
+
+_ODD_TOKENS = ["", " ", "x", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "1,2"]
+
+
+@st.composite
+def analyze_inputs(draw):
+    """(CSV text, analyze flags): a matrix of size 0-10, symmetric or not, with
+    at most one fault in its text (a ragged row, a blank line, an odd token or
+    a non-square shape)."""
+    fault = draw(st.sampled_from([None, None, None, "ragged", "blank", "token", "non-square"]))
+    rows = draw(st.integers(0, 10) | st.just(10))  # 10: the first size with three fit points
+    cols = draw(st.integers(0, 10).filter(lambda c: c != rows)) if fault == "non-square" else rows
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 0.0, 1e-320, 1e150, 1e154, 1e308]))
+    values = scale * rng.uniform(-1, 1, (rows, cols))
+    for _ in range(draw(st.integers(0, 2)) if values.size else 0):
+        at = rng.integers(rows), rng.integers(cols)
+        values[at] = draw(st.sampled_from([0.0, 1e308, -1e308, 1e-320]))
+    if rows == cols and draw(st.booleans()):
+        values = np.triu(values) + np.triu(values, 1).T
+    lines = [[f"{v:.17g}" for v in row] for row in values]
+    if lines and fault in ("ragged", "blank", "token"):
+        i = draw(st.integers(0, rows - 1))
+        if fault == "ragged":
+            lines[i].pop()
+        elif fault == "blank":
+            lines.insert(i, [])
+        else:
+            lines[i][draw(st.integers(0, cols - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    text = "".join(",".join(line) + "\n" for line in lines)
+    flags = []
+    if draw(st.booleans()):
+        rank = st.integers(1, max(rows, 1)) | st.sampled_from([0, rows + 1])  # in or out of range
+        ranks = draw(st.lists(rank, min_size=1, max_size=3))
+        flags += ["--components", ",".join(map(str, ranks))]
+    flags += [flag for flag in ("--fit", "--domains", "--haar") if draw(st.booleans())]
+    if draw(st.booleans()):
+        flags += ["--domain-threshold", draw(st.sampled_from(["0", "0.1", "0.5", "1", "0.3", "2", "nan"]))]
+    return text, flags
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(analyze_inputs())
+def test_analyze_keeps_the_exit_contract(tmp_path, capsys, case):
+    text, flags = case
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    (run_dir / "m.csv").write_text(text)
+    out = run_dir / "an"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning that escapes main fails the example
+        try:
+            code = run(["analyze", "--matrix", str(run_dir / "m.csv"), *flags, "--out", str(out)])
+        except SystemExit as exc:  # rejected while parsing the arguments
+            code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == "" and (out / "manifest.json").exists()
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_corr_thermal_beta0(tmp_path):

@@ -354,6 +354,22 @@ def test_neff_is_psd_gram():
     assert evals[0] > -1e-10 * max(abs(evals[-1]), 1.0)
 
 
+def test_solve_site_rejects_a_gram_that_is_not_positive_definite():
+    with pytest.raises(np.linalg.LinAlgError):
+        mps._solve_site(np.eye(8), -np.eye(4), np.ones(8))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_short_ring_at_chi_10_sweeps_on_the_shifted_gram(n):
+    # N_env has rank <= 2^(N-1) < chi^2 = 100, so only the relative 1e-10
+    # shift keeps its Cholesky factor defined
+    e_ed = lanczos_ground_state(enumerate_sector(n, 0)).energy
+    _, reports = mps.sweep_optimize(mps.random_init(n, 10, seed=0), n_sweeps=10)
+    for r in reports[1:]:
+        assert r.energy_change <= 1e-10 * abs(r.energy), r.sweep_index
+    assert reports[-1].energy >= e_ed - 1e-12 * abs(e_ed)
+
+
 def test_cached_envs_match_ring_walk_random_state():
     assert_envs_match_ring_walk(mps.random_init(12, 4, seed=7), 0.7, 1e-12)
 
