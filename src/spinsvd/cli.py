@@ -72,10 +72,14 @@ def write_matrix_csv(path, matrix):
 def read_matrix_csv(path):
     rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
+        for number, line in enumerate(map(str.strip, fh), 1):
+            try:
+                if line:
+                    rows.append([float(v) for v in line.split(",")])
+                    if len(rows[-1]) != len(rows[0]):
+                        raise ValueError(f"{len(rows[-1])} entries, the first row has {len(rows[0])}")
+            except ValueError as exc:
+                raise ValueError(f"matrix in {path}, line {number}: {exc}") from None
     m = np.array(rows)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix in {path} is not square: shape {m.shape}")

@@ -246,19 +246,15 @@ def random_init(n_sites, chi, seed=0):
     if chi < 1:
         raise ValueError("chi must be >= 1")
     tensors = np.random.default_rng(seed).standard_normal((n_sites, 2, chi, chi)) / np.sqrt(chi)
-    state = MpsState(n_sites, chi, tensors)
-    trace, exponent = _ring_trace(state)
-    if not (np.isfinite(trace) and trace > 0):
-        raise ConditioningError(f"random MPS norm vanishes (trace {trace:.3e} * 2^{exponent})")
-    state.tensors *= trace ** (-0.5 / n_sites) * 2.0 ** (-exponent / (2 * n_sites))
-    return state
+    trace, exponent = _ring_trace(MpsState(n_sites, chi, tensors))
+    return MpsState(n_sites, chi, tensors * (trace ** (-0.5 / n_sites) * 2.0 ** (-exponent / (2 * n_sites))))
 
 
 def _ring_trace(state):
     """(t, e) with <psi|psi> = t 2^e: the trace of the ring product of plain
     transfer matrices, whose running product is divided by 2^k whenever its
     largest entry reaches 2^k with |k| > 256, so that long rings neither
-    over- nor underflow."""
+    over- nor underflow. ConditioningError unless t is positive and finite."""
     product, exponent = None, 0
     for a in state.tensors:
         plain = _transfers(a, _OPS[:1])[0]
@@ -267,23 +263,27 @@ def _ring_trace(state):
         if abs(shift) > 256:
             product = _Pair(np.ldexp(product.s, -shift), np.ldexp(product.a, -shift))
             exponent += shift
-    return float(np.trace(product.s) + np.trace(product.a)), exponent
+    trace = float(np.trace(product.s) + np.trace(product.a))
+    if not (np.isfinite(trace) and trace > 0):
+        raise ConditioningError(f"MPS norm is not positive and finite (trace {trace:.3e} * 2^{exponent})")
+    return trace, exponent
 
 
-def norm_squared(state):
-    """<psi|psi> = tr of the ring product of plain transfer matrices."""
-    return float(np.ldexp(*_ring_trace(state)))
+def _unit_scaled(state):
+    """Copy of state scaled exactly to <psi|psi> in [1/2, 2]: tensor k times
+    2^((M + k) // N), powers that sum to M = -round(log2 <psi|psi> / 2)."""
+    trace, exponent = _ring_trace(state)
+    n, shift = state.n_sites, -round((np.log2(trace) + exponent) / 2)
+    return MpsState(n, state.chi, np.ldexp(state.tensors, (shift + np.arange(n))[:, None, None, None] // n))
 
 
 def energy(state, j_coupling=1.0):
-    """Rayleigh quotient <psi|H|psi>/<psi|psi>, on the environment of site 0."""
+    """Rayleigh quotient <psi|H|psi>/<psi|psi> at any scale, on the environment of site 0."""
+    state = _unit_scaled(state)
     _, env = next(_sweep_envs(state))
     heff, nenv = _site_matrices(env, state.chi, j_coupling)
     x = state.tensors[0].reshape(-1)
-    denom = _gram(x, nenv)
-    if abs(denom) < 1e-300:
-        raise ConditioningError("state norm vanishes")
-    return float(x @ heff @ x) / denom
+    return float(x @ heff @ x) / _gram(x, nenv)
 
 
 @cache
@@ -367,12 +367,12 @@ def optimize_site(state, site, j_coupling=1.0, env=None):
 def sweep_optimize(state, j_coupling=1.0, n_sweeps=40):
     """Sequential site-by-site optimization, n_sweeps full forward passes.
 
-    Returns the optimized copy and one SweepReport per sweep, which sums the
-    Lanczos steps of that sweep's SiteUpdates.
+    Returns the optimized unit-scaled copy and one SweepReport per sweep, which
+    sums the Lanczos steps of that sweep's SiteUpdates.
     """
     if n_sweeps < 1:
         raise ValueError(f"n_sweeps must be >= 1, got {n_sweeps}")
-    state = state.copy()
+    state = _unit_scaled(state)
     reports = []
     for sweep in range(n_sweeps):
         updates = [optimize_site(state, site, j_coupling, env) for site, env in _sweep_envs(state)]
@@ -383,12 +383,13 @@ def sweep_optimize(state, j_coupling=1.0, n_sweeps=40):
 
 
 def correlation_matrix(state):
-    """All <Sz_i Sz_j> entries, using prefix products and closing factors.
+    """All <Sz_i Sz_j> entries at any scale, using prefix products and closing factors.
 
     Entry (i < j) is tr(X Y)/<psi|psi>, X = E_0..Ez_i..E_{j-1} and Y = Ez_j
     E_{j+1}..E_{N-1}; Y^T is precomputed per j and tr(X Y) = sum(X * Y^T),
     summed over the two sectors, as every factor is even.
     """
+    state = _unit_scaled(state)
     n, transfers = state.n_sites, [_transfers(a, _OPS[:2]) for a in state.tensors]
     traces, n2 = np.zeros((n, n)), 0.0
     for sector in ("s", "a"):
@@ -409,9 +410,7 @@ def correlation_matrix(state):
                     left, spare = spare, left
             prefix = prefix @ e[i]
     if not (np.isfinite(n2) and np.isfinite(traces).all()):
-        raise ConditioningError("transfer products overflow (state far from unit norm)")
-    if abs(n2) < 1e-300:
-        raise ConditioningError("state norm vanishes")
+        raise ConditioningError("transfer products overflow (site scales far apart)")
     out = (traces + traces.T) / n2
     np.fill_diagonal(out, 0.25)
     return out

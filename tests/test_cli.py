@@ -463,22 +463,32 @@ def test_corr_of_a_nonzero_sz_state_runs_silently(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["provenance"] == "ed-ground-sz!=0"
 
 
-@pytest.mark.parametrize("big", [1e5, 1e200])
+def _mps_payload(big):
+    """A valid N = 64, chi = 2 state whose transfer matrices hold entries near 2 big^2."""
+    tensors = np.array([[[big, 0.1, 0.3, big]] * 2] * 64)
+    payload = {"format": cli.STATE_FORMAT, "method": "mps", "n_sites": 64, "chi": 2, "j": 1.0}
+    return {**payload, "tensors": tensors.tolist()}, tensors.reshape(64, 2, 2, 2)
+
+
+@pytest.mark.parametrize("big", [1e5, 1e100])
+def test_corr_rescales_an_unnormalized_mps_state(tmp_path, big):
+    # the ring's norm is far beyond the float range, but the state is rescaled
+    # exactly on entry and gives the matrix of its tensors over big
+    payload, tensors = _mps_payload(big)
+    out = tmp_path / "corr"
+    assert run_quietly(["corr", "--state", _write_state(tmp_path, payload), "--out", out]) == (0, "")
+    want = mps.correlation_matrix(mps.MpsState(64, 2, tensors / big))
+    assert np.abs(cli.read_matrix_csv(out / "matrix.csv") - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("big", [1e160, 1e200])
 def test_corr_of_an_unnormalized_mps_state_exits_2(tmp_path, big):
-    # a valid schema, but each transfer matrix holds entries near 2 big^2, so the
-    # ring products overflow (already in the transfer matrices at 1e200)
-    payload = {
-        "format": cli.STATE_FORMAT,
-        "method": "mps",
-        "n_sites": 64,
-        "chi": 2,
-        "j": 1.0,
-        "tensors": [[[big, 0.1, 0.3, big]] * 2] * 64,
-    }
+    # 2 big^2 > 1.8e308: a single transfer matrix overflows, so no rescaling helps
+    payload, _ = _mps_payload(big)
     out = tmp_path / "corr"
     code, err = run_quietly(["corr", "--state", _write_state(tmp_path, payload), "--out", out])
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
-    assert "overflow" in err
+    assert "not positive and finite" in err
     assert not out.exists()
 
 
@@ -773,6 +783,21 @@ def test_analyze_rejects_nonsquare(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2,3\n4,5,6\n")
     assert_rejected(["analyze", "--matrix", str(bad)], tmp_path / "an", capsys)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0.25,0\n\n0,0.25,1\n", "line 3: 3 entries, the first row has 2"),  # ragged, after a blank line
+        ("0.25,\n0,0.25\n", "line 1: could not convert string to float: ''"),  # empty field
+        ("0.25,0\n0,x\n", "line 2: could not convert string to float: 'x'"),
+    ],
+)
+def test_analyze_names_the_file_and_line_of_a_bad_row(tmp_path, capsys, text, message):
+    mat_path = tmp_path / "m.csv"
+    mat_path.write_text(text)
+    err = assert_rejected(["analyze", "--matrix", str(mat_path)], tmp_path / "an", capsys)
+    assert err == f"error: matrix in {mat_path}, {message}\n"
 
 
 @settings(max_examples=40, deadline=None)

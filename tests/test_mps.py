@@ -247,7 +247,7 @@ def test_sector_kernels_match_dense_formulas(n, chi):
         if k == 0:
             x = state.tensors[0].reshape(-1)
             assert mps.energy(state, 0.7) == pytest.approx((x @ ref_h @ x) / (x @ ref_n @ x), rel=1e-12)
-    assert mps.norm_squared(state) == pytest.approx(np.trace(np.linalg.multi_dot(ts[0])), rel=1e-12)
+    assert np.ldexp(*mps._ring_trace(state)) == pytest.approx(np.trace(np.linalg.multi_dot(ts[0])), rel=1e-12)
     assert rel(mps.correlation_matrix(state), dense_correlation_matrix(state)) <= 1e-12
 
 
@@ -262,7 +262,7 @@ def test_random_init_deterministic():
 def test_random_init_norm():
     for n, chi in [(4, 1), (12, 5), (64, 10)]:
         st = mps.random_init(n, chi, seed=0)
-        assert mps.norm_squared(st) > 0
+        assert np.ldexp(*mps._ring_trace(st)) == pytest.approx(1.0, rel=1e-12)
 
 
 def _log_ring_norm(state):
@@ -281,7 +281,7 @@ def test_random_init_long_ring_is_one_normalized_draw():
     n, chi = 1100, 10
     state = mps.random_init(n, chi, seed=0)
     assert abs(_log_ring_norm(state)) < 1e-9
-    assert mps.norm_squared(state) == pytest.approx(1.0, abs=1e-9)
+    assert np.ldexp(*mps._ring_trace(state)) == pytest.approx(1.0, abs=1e-9)
     ratio = state.tensors / np.random.default_rng(0).standard_normal((n, 2, chi, chi))
     assert np.allclose(ratio, ratio.flat[0], rtol=1e-12, atol=0)  # seed 0's draw, rescaled
 
@@ -301,19 +301,90 @@ def test_chi1_energy_finite():
     assert np.isfinite(mps.energy(st))
 
 
+# -- ring symmetries ------------------------------------------------------------
+# Each maps a state's tensors to those of a state with the same physics, with no
+# ED oracle, up to N = 64: a gauge at a bond (the PBC-MPS gauge freedom:
+# Perez-Garcia, Verstraete, Wolf and Cirac, Quantum Inf. Comput. 7, 401 (2007)),
+# the ring's translations, reflection and spin flip, and any scale of the state.
+
+_SYMMETRIES = ["gauge", "roll", "reflect", "flip", "site scale", "power of two"]
+
+
+def symmetric_image(kind, n, chi, seed):
+    """(state, image, perm): random_init(n, chi, seed) and its image under one
+    symmetry, drawn from seed + 1; site i of the image is site perm[i] of the
+    state."""
+    state, rng = mps.random_init(n, chi, seed), np.random.default_rng(seed + 1)
+    t, perm = state.tensors.copy(), np.arange(n)
+    if kind == "gauge":  # A_b -> A_b G, A_{b+1} -> G^-1 A_{b+1}, b = N - 1 closes the ring
+        (q, _), (r, _) = (np.linalg.qr(rng.standard_normal((chi, chi))) for _ in range(2))
+        g, b = q @ np.diag(2.0 ** rng.uniform(-1, 1, chi)) @ r, rng.integers(n)  # cond(G) <= 4
+        t[b], t[(b + 1) % n] = t[b] @ g, np.linalg.solve(g, t[(b + 1) % n])
+    elif kind == "roll":
+        shift = rng.integers(1, n)
+        t, perm = np.roll(t, shift, axis=0), np.roll(perm, shift)
+    elif kind == "reflect":  # tr(A_0 ... A_{N-1}) = tr(A_{N-1}^T ... A_0^T)
+        t, perm = t[::-1].swapaxes(2, 3), perm[::-1]
+    elif kind == "flip":
+        t = t[:, ::-1]
+    elif kind == "site scale":
+        t *= 10.0 ** rng.uniform(-6, 6, (n, 1, 1, 1))
+    else:  # |k| >= 150: <psi|psi> = 2^(2kN) lies beyond the float range even at N = 4
+        t = np.ldexp(t, rng.choice([-1, 1]) * rng.integers(150, 251))
+    return state, mps.MpsState(n, chi, t), perm
+
+
+def assert_same_physics(kind, state, image, perm, sweep):
+    """energy and correlation_matrix (permuted) of the image match the state's,
+    bit for bit under a power of two; with sweep, so do one sweep's energy and
+    correlations, for the symmetries that keep the sweep's site order."""
+    exact = kind == "power of two"
+    e, s = mps.energy(state), mps.correlation_matrix(state)
+    e_image, s_image = mps.energy(image), mps.correlation_matrix(image)
+    assert e_image == e if exact else e_image == pytest.approx(e, rel=1e-12)
+    assert np.abs(s_image - s[np.ix_(perm, perm)]).max() <= (0 if exact else 1e-12)
+    if not sweep or kind in ("roll", "reflect"):  # these change which site the sweep starts from
+        return
+    (out, reports), (out_image, reports_image) = (mps.sweep_optimize(x, n_sweeps=1) for x in (state, image))
+    if exact:
+        assert np.array_equal(out_image.tensors, out.tensors)
+        np.testing.assert_equal([astuple(r) for r in reports_image], [astuple(r) for r in reports])
+        return
+    assert reports_image[-1].energy == pytest.approx(reports[-1].energy, rel=1e-9)
+    assert np.abs(mps.correlation_matrix(out_image) - mps.correlation_matrix(out)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("kind", _SYMMETRIES)
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(n=st.sampled_from([4, 8]), chi=st.sampled_from([1, 2, 3, 10]), seed=st.integers(0, 2**32 - 1))
+def test_short_ring_kernels_and_sweep_keep_the_ring_symmetries(kind, n, chi, seed):
+    assert_same_physics(kind, *symmetric_image(kind, n, chi, seed), sweep=True)
+
+
+@pytest.mark.parametrize("kind", _SYMMETRIES)
+@settings(max_examples=2, derandomize=True, deadline=None)
+@given(chi=st.sampled_from([10, 3, 2, 1]), seed=st.integers(0, 2**32 - 1))  # the first example: chi = 10
+def test_n64_kernels_keep_the_ring_symmetries(kind, chi, seed):
+    assert_same_physics(kind, *symmetric_image(kind, 64, chi, seed), sweep=False)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e-3])
+def test_n64_kernels_keep_a_uniform_decimal_scale(scale):
+    # <psi|psi> = scale^(2N) is beyond the float range; 1e3 gave a nan energy
+    state = mps.random_init(64, 10, seed=1)
+    scaled = mps.MpsState(64, 10, scale * state.tensors)
+    assert mps.energy(scaled) == pytest.approx(mps.energy(state), rel=1e-12)
+    assert np.abs(mps.correlation_matrix(scaled) - mps.correlation_matrix(state)).max() <= 1e-12
+
+
 def test_gauge_invariance():
-    st = mps.random_init(6, 4, seed=3)
-    e0 = mps.energy(st)
-    c00 = mps_correlator_zz(st, 0, 2)
-    rng = np.random.default_rng(9)
-    g = rng.standard_normal((4, 4)) + 2 * np.eye(4)
-    ginv = np.linalg.inv(g)
-    transformed = st.copy()
-    for i in range(6):
-        for s in range(2):
-            transformed.tensors[i, s] = g @ st.tensors[i, s] @ ginv
-    assert mps.energy(transformed) == pytest.approx(e0, abs=1e-9)
-    assert mps_correlator_zz(transformed, 0, 2) == pytest.approx(c00, abs=1e-9)
+    # G A G^-1 at every site, a gauge at every bond, with a G less well conditioned;
+    # the sweep's Gram shift is not gauge invariant, and with this G its energy
+    # moves by 1.6e-9 relative, so only the state's own values are compared
+    state = mps.random_init(6, 4, seed=3)
+    g = np.random.default_rng(9).standard_normal((4, 4)) + 2 * np.eye(4)
+    image = mps.MpsState(6, 4, g @ state.tensors @ np.linalg.inv(g))
+    assert_same_physics("gauge", state, image, np.arange(6), sweep=False)
 
 
 def test_single_update_lowers_energy():
