@@ -33,31 +33,20 @@ from .errors import (
     InvalidSizeError,
 )
 
-# v2 ED states hold a momentum block (representatives, k, amplitudes); v1 ED
-# states hold the whole S_z sector. MPS payloads are the same in both.
+# ED states hold a momentum block (representatives, k, amplitudes), MPS
+# states the site tensors
 STATE_FORMAT = "spinsvd-state-v2"
-STATE_FORMATS = ("spinsvd-state-v1", STATE_FORMAT)
 ED_CLI_CAP = 24
-
-# the ED state loader's basis names, bound here on first use (see __getattr__)
-_BASIS_NAMES = ("MomentumBasis", "Wavefunction", "enumerate_sector")
-
-
-def _bind_basis():
-    """Bind the basis names in this module, keeping any already set (a wrapper)."""
-    from . import basis
-
-    for name in _BASIS_NAMES:
-        globals().setdefault(name, getattr(basis, name))
 
 
 def __getattr__(name):
-    # PEP 562: cli.enumerate_sector and the other basis names stay module
-    # attributes, but only the ED paths import spinsvd.basis
-    if name in _BASIS_NAMES:
-        _bind_basis()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: benchmarks/traced_cli.py wraps cli.enumerate_sector by name, so the
+    # basis names stay cli attributes; only their first use imports spinsvd.basis
+    if name not in ("MomentumBasis", "Wavefunction", "enumerate_sector"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import basis
+
+    return getattr(basis, name)
 
 
 def _fmt(x):
@@ -151,13 +140,13 @@ def _json_numbers(value):
 
 
 def load_state(path):
-    """(fields, state) of a state file, every field the state needs checked.
+    """(fields, state) of a STATE_FORMAT file, every field the state needs checked.
 
     The state is the solver object that `corr` reads: an `MpsState`, or for
-    ED the `Wavefunction` on its momentum block (v2) or S_z sector (v1).
+    ED the `Wavefunction` on its momentum block.
     """
     payload = json.loads(Path(path).read_text())
-    if type(payload) is not dict or payload.get("format") not in STATE_FORMATS:
+    if type(payload) is not dict or payload.get("format") != STATE_FORMAT:
         raise ValueError(f"unrecognized state format in {path}")
     fields = _StateFile(payload)
     fields.path = path
@@ -173,17 +162,14 @@ def load_state(path):
             raise ValueError(f"tensors have shape {tensors.shape}, expected {(n, 2, chi * chi)}")
         state = mps.MpsState(n, chi, tensors.reshape(n, 2, chi, chi))
     else:
-        _bind_basis()
+        from .basis import MomentumBasis, Wavefunction
+
         if n > ED_CLI_CAP:
             raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {n}")
-        if fields["format"] == STATE_FORMAT:
-            k_over_pi = fields.integer("k_over_pi", 0)
-            if k_over_pi > 1:
-                raise ValueError(f"k_over_pi must be 0 or 1, got {k_over_pi}")
-            reps = np.array(fields["representatives"])
-            basis = MomentumBasis(n, 0, k_over_pi * n // 2, reps)
-        else:
-            basis = enumerate_sector(n, fields.integer("sz_total", -(n // 2)))
+        k_over_pi = fields.integer("k_over_pi", 0)
+        if k_over_pi > 1:
+            raise ValueError(f"k_over_pi must be 0 or 1, got {k_over_pi}")
+        basis = MomentumBasis(n, 0, k_over_pi * n // 2, np.array(fields["representatives"]))
         amps = fields.numbers("amplitudes")
         if amps.shape != (basis.dim,):
             raise ValueError(f"{amps.size} amplitudes for {basis.dim} basis states")
@@ -264,9 +250,12 @@ def _cmd_corr(args):
             raise ValueError("thermal mode needs --n")
         from . import exact
 
-        cm = corr_mod.build_thermal(exact.full_spectrum(args.n, args.j), args.beta)
-        meta = {"beta": args.beta, "n_sites": args.n, "method": "thermal", "j": args.j}
+        j = args.j or 1.0  # --j is never 0
+        cm = corr_mod.build_thermal(exact.full_spectrum(args.n, j), args.beta)
+        meta = {"beta": args.beta, "n_sites": args.n, "method": "thermal", "j": j}
     else:
+        if args.n is not None or args.j is not None:
+            raise ValueError("--n and --j set the thermal ring: give them with --beta")
         if args.state is None:
             raise ValueError("need --state FILE or --beta with --n")
         fields, state = load_state(args.state)
@@ -391,10 +380,11 @@ def build_parser():
     p_solve.set_defaults(func=_cmd_solve)
 
     p_corr = sub.add_parser("corr", help="build the correlation matrix")
-    p_corr.add_argument("--state", help="checkpoint from solve")
-    p_corr.add_argument("--beta", type=_beta, help="thermal mode (needs --n)")
+    mode = p_corr.add_mutually_exclusive_group()
+    mode.add_argument("--state", help="checkpoint from solve")
+    mode.add_argument("--beta", type=_beta, help="thermal mode (needs --n)")
     p_corr.add_argument("--n", type=int, help="chain length for thermal mode")
-    p_corr.add_argument("--j", type=_coupling, default=1.0)
+    p_corr.add_argument("--j", type=_coupling, help="coupling for thermal mode (default 1)")
     p_corr.add_argument("--out", required=True)
     p_corr.set_defaults(func=_cmd_corr)
 

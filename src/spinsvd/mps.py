@@ -278,12 +278,16 @@ def _unit_scaled(state):
 
 
 def energy(state, j_coupling=1.0):
-    """Rayleigh quotient <psi|H|psi>/<psi|psi> at any scale, on the environment of site 0."""
+    """Rayleigh quotient <psi|H|psi>/<psi|psi> at any scale, on the environment of site 0;
+    ConditioningError when site scales lie so far apart that its terms over- or underflow."""
     state = _unit_scaled(state)
     _, env = next(_sweep_envs(state))
     heff, nenv = _site_matrices(env, state.chi, j_coupling)
     x = state.tensors[0].reshape(-1)
-    return float(x @ heff @ x) / _gram(x, nenv)
+    value, gram = float(x @ heff @ x), _gram(x, nenv)
+    if not (np.isfinite(value) and 0 < gram < np.inf):
+        raise ConditioningError(f"Rayleigh quotient {value:.3e} / {gram:.3e} (site scales far apart)")
+    return value / gram
 
 
 @cache

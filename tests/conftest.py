@@ -2,12 +2,17 @@
 
 import os
 import time
+from pathlib import Path
 
 # One BLAS thread, set before numpy is first imported: the N = 64, 40-sweep
 # MPS trajectory, and so the criterion-5 values the gate prints, depend on
 # the thread count. A value already in the environment wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+# pytest puts src on sys.path (pyproject.toml); the tests that start fresh
+# interpreters find the package through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 import numpy as np  # noqa: E402
 import pytest

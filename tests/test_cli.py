@@ -15,10 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 import spinsvd
 from spinsvd import cli, four_site, mps
-from spinsvd.basis import enumerate_sector
 from spinsvd.corr import CorrelationMatrix, build_from_wavefunction
 from spinsvd.errors import ConditioningError, DegenerateGroundStateError
-from spinsvd.exact import lanczos_ground_state
 
 
 def run(argv):
@@ -262,14 +260,44 @@ def test_corr_rejects_malformed_v2_state(tmp_path, capsys, field, edit, message)
     assert message in assert_rejected(argv, tmp_path / "corr", capsys)
 
 
+# the retired whole-sector format: the N = 4 ground state over the S_z = 0
+# configurations 3, 5, 6, 9, 10, 12
+_V1_STATE = {
+    "format": "spinsvd-state-v1",
+    "method": "ed",
+    "n_sites": 4,
+    "j": 1.0,
+    "sz_total": 0,
+    "amplitudes": [x / 12**0.5 for x in (1, -2, 1, 1, -2, 1)],
+}
+
+
 @pytest.mark.parametrize(
     "payload",
-    [[1, 2], "x", None, {"format": "spinsvd-state-v0"}],
-    ids=["list", "string", "null", "unknown-format"],
+    [[1, 2], "x", None, {"format": "spinsvd-state-v0"}, _V1_STATE],
+    ids=["list", "string", "null", "unknown-format", "v1"],
 )
 def test_corr_rejects_state_without_known_format(tmp_path, capsys, payload):
-    argv = ["corr", "--state", str(_write_state(tmp_path, payload))]
-    assert "unrecognized state format" in assert_rejected(argv, tmp_path / "corr", capsys)
+    path = _write_state(tmp_path, payload)
+    err = assert_rejected(["corr", "--state", str(path)], tmp_path / "corr", capsys)
+    assert err == f"error: unrecognized state format in {path}\n"
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--j", "5"], "--n and --j set the thermal ring: give them with --beta"),
+        (["--n", "6"], "--n and --j set the thermal ring: give them with --beta"),
+        (["--beta", "1", "--n", "6"], "spinsvd corr: argument --beta: not allowed with argument --state"),
+    ],
+    ids=["j", "n", "beta"],
+)
+def test_corr_rejects_state_with_thermal_flags(tmp_path, capsys, flags, message):
+    # a state fixes its own ring and coupling; the thermal flags are not silently dropped
+    _ed_state(tmp_path)
+    capsys.readouterr()
+    argv = ["corr", "--state", str(tmp_path / "solve" / "state.json"), *flags]
+    assert assert_rejected(argv, tmp_path / "corr", capsys) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -321,57 +349,19 @@ def test_corr_rejects_state_without_valid_coupling(tmp_path, capsys, j):
     assert err == f"error: j must be a finite nonzero number, got {j!r}\n"
 
 
-def _v1_state(n=8):
-    sol = lanczos_ground_state(enumerate_sector(n, 0))
-    v1 = {
-        "format": "spinsvd-state-v1",
-        "method": "ed",
-        "n_sites": n,
-        "j": 1.0,
-        "sz_total": 0,
-        "energy": sol.energy,
-        "residual_norm": sol.residual_norm,
-        "amplitudes": sol.wf.amps.tolist(),
-    }
-    return sol, v1
-
-
-@pytest.mark.parametrize(
-    "field,value,message",
-    [("sz_total", "0", "sz_total must be an integer"), ("n_sites", 26, "n <= 24")],
-    ids=["sz-string", "n-over-cap"],
-)
-def test_corr_rejects_malformed_v1_state(tmp_path, capsys, field, value, message):
-    payload = {**_v1_state(4)[1], field: value}
-    argv = ["corr", "--state", str(_write_state(tmp_path, payload))]
-    assert message in assert_rejected(argv, tmp_path / "corr", capsys)
-
-
-def test_corr_reads_v1_ed_state(tmp_path):
-    sol, v1 = _v1_state()
-    v1_path, corr_v1, corr_v2 = _write_state(tmp_path, v1), tmp_path / "v1", tmp_path / "v2"
-    assert run(["corr", "--state", str(v1_path), "--out", str(corr_v1)]) == 0
-    m_v1 = cli.read_matrix_csv(corr_v1 / "matrix.csv")
-    assert np.array_equal(m_v1, build_from_wavefunction(sol.wf).entries)  # the sector path
-    _ed_state(tmp_path, n=8)
-    v2_path = tmp_path / "solve" / "state.json"
-    assert run(["corr", "--state", str(v2_path), "--out", str(corr_v2)]) == 0
-    assert np.max(np.abs(m_v1 - cli.read_matrix_csv(corr_v2 / "matrix.csv"))) < 1e-12
-
-
 FUZZ_VALUES = [None, True, 0, -1, 2, 1.5, "x", [], [1], {}, 1e308]
 _DELETE = object()
 
 
 @pytest.fixture(scope="module")
 def saved_states(tmp_path_factory):
-    """Valid MPS (N = 4), ED v2 (N = 6) and ED v1 (N = 4) state files, as JSON objects."""
+    """Valid MPS (N = 4) and ED (N = 6) state files, as JSON objects."""
     tmp = tmp_path_factory.mktemp("states")
     solve = {
         "mps": ["--method", "mps", "--n", "4", "--chi", "2", "--sweeps", "1"],
-        "ed-v2": ["--method", "ed", "--n", "6"],
+        "ed": ["--method", "ed", "--n", "6"],
     }
-    states = {"ed-v1": _v1_state(4)[1]}
+    states = {}
     for kind, argv in solve.items():
         assert run(["solve", *argv, "--out", str(tmp / kind)]) == 0
         states[kind] = json.loads((tmp / kind / "state.json").read_text())
@@ -453,14 +443,6 @@ def test_analyze_failure_leaves_no_output(tmp_path, ground_n8, matrix, flags):
     code, err = run_quietly(["analyze", "--matrix", tmp_path / "m.csv", *flags, "--out", tmp_path / "an"])
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
     assert not (tmp_path / "an").exists()
-
-
-def test_corr_of_a_nonzero_sz_state_runs_silently(tmp_path):
-    # the library's S_z != 0 warning is recorded as the manifest's provenance
-    payload = {**_v1_state(4)[1], "sz_total": 1, "amplitudes": [0.5] * 4}
-    out = tmp_path / "corr"
-    assert run_quietly(["corr", "--state", _write_state(tmp_path, payload), "--out", out]) == (0, "")
-    assert json.loads((out / "manifest.json").read_text())["provenance"] == "ed-ground-sz!=0"
 
 
 def _mps_payload(big):

@@ -16,6 +16,7 @@ from spinsvd import corr, four_site
 from spinsvd import mps
 from spinsvd import svd_analysis as sa
 from spinsvd.basis import enumerate_sector
+from spinsvd.errors import ConditioningError
 from spinsvd.exact import lanczos_ground_state
 
 # -- reference ring walk ------------------------------------------------------
@@ -375,6 +376,17 @@ def test_n64_kernels_keep_a_uniform_decimal_scale(scale):
     scaled = mps.MpsState(64, 10, scale * state.tensors)
     assert mps.energy(scaled) == pytest.approx(mps.energy(state), rel=1e-12)
     assert np.abs(mps.correlation_matrix(scaled) - mps.correlation_matrix(state)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("first,second", [(1e6, 1e-6), (1e-6, 1e6)], ids=["big-small", "small-big"])
+def test_energy_of_far_apart_half_rings_is_a_conditioning_error(first, second):
+    # one half of the ring scaled by 1e12 against the other: the unit-scaled
+    # environment of site 0 underflows to 0 / 0 or overflows to nan / nan
+    tensors = mps.random_init(64, 10, seed=1).tensors.copy()
+    tensors[:32] *= first
+    tensors[32:] *= second
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError):
+        mps.energy(mps.MpsState(64, 10, tensors))
 
 
 def test_gauge_invariance():
