@@ -198,10 +198,9 @@ def _cmd_solve(args):
             raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {args.n}")
         from . import exact
 
-        sol, cross_block_gap = exact.momentum_ground_state(args.n, args.j, seed=args.seed)
+        sol = exact.momentum_ground_state(args.n, args.j, seed=args.seed)
         block = sol.wf.basis
         state.update(
-            sz_total=0,
             k_over_pi=block.k_over_pi,
             energy=sol.energy,
             residual_norm=sol.residual_norm,
@@ -215,7 +214,7 @@ def _cmd_solve(args):
             "k_over_pi": block.k_over_pi,
             "block_dim": block.dim,
             "lanczos_iterations": sol.iterations,
-            "cross_block_gap": cross_block_gap,
+            "ritz_gap": sol.gap,
         }
     else:
         from . import mps

@@ -85,8 +85,7 @@ def build_from_mps(state):
     """Correlation matrix of an (optimized) periodic MPS."""
     from . import mps as mps_mod  # imported here: the ED and thermal paths never load it
 
-    with np.errstate(over="ignore", invalid="ignore"):  # far-apart site scales overflow: checked there
-        s = mps_mod.correlation_matrix(state)  # written symmetric, entry by entry
+    s = mps_mod.correlation_matrix(state)  # written symmetric, entry by entry
     return CorrelationMatrix(state.n_sites, s, "mps")
 
 

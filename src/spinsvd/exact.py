@@ -1,8 +1,8 @@
 """Ground state by Lanczos iteration and the full small-chain spectrum.
 
 Lanczos runs on a whole S_z sector or, for the CLI's ground state, on the
-k = 0 and k = pi momentum blocks of S_z = 0. The full spectrum is dense
-eigh on the (S_z, k) momentum blocks.
+one S_z = 0 momentum block that Marshall's sign rule picks. The full
+spectrum is dense eigh on the (S_z, k) momentum blocks.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _fix_sign(basis, vec):
     return -vec if vec[pivot] < 0 else vec
 
 
-def lanczos_ground_state(basis, j_coupling=1.0, seed=0, min_gap=1e-8):
+def lanczos_ground_state(basis, j_coupling=1.0, seed=0):
     """Lowest eigenpair of H on the basis by `lanczos.lowest_ritz_pair`.
 
     The basis is a `SectorBasis` or a `MomentumBasis`. The start vector is
@@ -82,12 +82,11 @@ def lanczos_ground_state(basis, j_coupling=1.0, seed=0, min_gap=1e-8):
     scaled by |J| afterwards, and the bounds below hold in units of |J|.
     Lanczos stops at a residual estimate of _LANCZOS_TOL times the largest
     |Ritz value|, well below the 1e-10 acceptance bound, so that downstream
-    correlators hold their 1e-12 invariants. A gap > min_gap between the
+    correlators hold their 1e-12 invariants. A gap > 1e-8 between the
     two lowest Ritz values is required (even-N rings have a unique S_z=0
-    ground state; anything else is a usage error); min_gap=None leaves the
-    check to the caller, which reads `gap`. A Krylov space that closes
-    before a second Ritz value exists measures no gap and raises, unless the
-    basis holds one state: its one step is exact and `gap` is None.
+    ground state; anything else is a usage error). A Krylov space that
+    closes before a second Ritz value exists measures no gap and raises,
+    unless the basis holds one state: its one step is exact and `gap` is None.
     """
     dim = basis.dim
     if dim == 0:
@@ -116,40 +115,24 @@ def lanczos_ground_state(basis, j_coupling=1.0, seed=0, min_gap=1e-8):
             "Krylov space closed at iteration 0; no gap can be measured"
         )
     gap = float(thetas[1] - thetas[0]) if dim > 1 else None
-    if min_gap is not None and dim > 1 and gap <= min_gap:
-        raise DegenerateGroundStateError(
-            f"Ritz gap {gap:.3e} <= {min_gap:g} at iteration {steps - 1}"
-        )
+    if dim > 1 and gap <= 1e-8:
+        raise DegenerateGroundStateError(f"Ritz gap {gap:.3e} <= 1e-8 at iteration {steps - 1}")
     ritz = _fix_sign(basis, ritz)
     gap = None if gap is None else unit * gap
     return GroundSolution(unit * theta, Wavefunction(basis, ritz), unit * residual, steps, gap)
 
 
 def momentum_ground_state(n_sites, j_coupling=1.0, seed=0):
-    """S_z = 0 ground state of the even ring from its k = 0 and k = pi blocks.
+    """S_z = 0 ground state of the even ring, solved in the one momentum block that holds it.
 
-    The ground state is a translation eigenstate with real amplitudes: at
-    k = 0 or pi by Marshall's sign rule for J > 0, the ferromagnetic
-    multiplet at k = 0 for J < 0. Both blocks are cut from one set of sector
-    orbits; Lanczos runs on each, its operator is dropped once it has run, and
-    the lower block is kept. Returns (solution, cross_block_gap), the second being
-    |E0(0) - E0(pi)|. Raises DegenerateGroundStateError when that gap or the
-    Ritz gap inside the kept block is <= 1e-8 |J|; a gap in the other block does
-    not matter.
+    By the Lieb-Mattis theorem and Marshall's sign rule the J > 0 ground
+    state is unique and has momentum k = pi ((N/2) mod 2); for J < 0 the
+    ferromagnetic multiplet has k = 0. Lanczos runs on that block alone and
+    raises DegenerateGroundStateError when its Ritz gap is <= 1e-8 |J|.
     """
-    orbits = translation_orbits(enumerate_sector(n_sites, 0))
-    lowest = []
-    for m in (0, n_sites // 2):
-        block = orbits.block(m)
-        lowest.append(lanczos_ground_state(block, j_coupling, seed=seed, min_gap=None))
-        vars(block).pop("hamiltonian", None)  # free its hop values before the next block
-    best = min(lowest, key=lambda sol: sol.energy)
-    cross_block_gap = abs(lowest[0].energy - lowest[1].energy)
-    unit = abs(j_coupling)
-    for name, gap in (("Ritz gap", best.gap / unit), ("k = 0 / pi gap", cross_block_gap / unit)):
-        if gap <= 1e-8:  # in units of |J|
-            raise DegenerateGroundStateError(f"{name} {gap:.3e} <= 1e-8")
-    return best, cross_block_gap
+    m = n_sites // 2 if j_coupling > 0 and (n_sites // 2) % 2 else 0
+    block = translation_orbits(enumerate_sector(n_sites, 0)).block(m)
+    return lanczos_ground_state(block, j_coupling, seed=seed)
 
 
 def full_spectrum(n_sites, j_coupling=1.0):

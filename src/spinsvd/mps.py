@@ -277,6 +277,7 @@ def _unit_scaled(state):
     return MpsState(n, state.chi, np.ldexp(state.tensors, (shift + np.arange(n))[:, None, None, None] // n))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # far-apart site scales overflow: checked below
 def energy(state, j_coupling=1.0):
     """Rayleigh quotient <psi|H|psi>/<psi|psi> at any scale, on the environment of site 0;
     ConditioningError when site scales lie so far apart that its terms over- or underflow."""
@@ -386,6 +387,7 @@ def sweep_optimize(state, j_coupling=1.0, n_sweeps=40):
     return state, reports
 
 
+@np.errstate(over="ignore", invalid="ignore")  # far-apart site scales overflow: checked below
 def correlation_matrix(state):
     """All <Sz_i Sz_j> entries at any scale, using prefix products and closing factors.
 

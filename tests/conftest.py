@@ -153,7 +153,7 @@ def mps_run_n64():
 def mps_ed_n24():
     """The N=24 chi=10 40-sweep MPS (seed 0) and the momentum-block ED ground state."""
     state, reports = mps.sweep_optimize(mps.random_init(24, 10, seed=0), n_sweeps=40)
-    return state, reports, exact.momentum_ground_state(24)[0]
+    return state, reports, exact.momentum_ground_state(24)
 
 
 @pytest.fixture(scope="session")

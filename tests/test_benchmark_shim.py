@@ -22,18 +22,20 @@ SRC = str(Path(spinsvd.__file__).resolve().parents[1])
 
 
 def traced_span_names(tmp_path, label, argv):
-    """Run one CLI command through the shim; the set of span names it records."""
+    """Run one CLI command through the shim; the names of the spans it records, in order."""
     spans = tmp_path / f"{label}.spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, str(SHIM), str(spans), label, "--", *argv]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    return {span["name"] for span in json.loads(spans.read_text())}
+    return [span["name"] for span in json.loads(spans.read_text())]
 
 
 def test_traced_ed_solve_and_corr(tmp_path):
     solve = ["solve", "--method", "ed", "--n", "8", "--out", str(tmp_path / "solve")]
-    assert traced_span_names(tmp_path, "solve", solve) == {
+    spans = traced_span_names(tmp_path, "solve", solve)
+    assert spans.count("exact.lanczos") == 1  # one momentum block is solved
+    assert set(spans) == {
         "cli.import",
         "cli.main",
         "basis.enumerate_sector",
@@ -42,7 +44,7 @@ def test_traced_ed_solve_and_corr(tmp_path):
         "cli.save_state",
     }
     corr = ["corr", "--state", str(tmp_path / "solve" / "state.json"), "--out", str(tmp_path / "corr")]
-    assert traced_span_names(tmp_path, "corr", corr) == {
+    assert set(traced_span_names(tmp_path, "corr", corr)) == {
         "cli.import",
         "cli.main",
         "cli.load_state",
@@ -54,7 +56,7 @@ def test_traced_ed_solve_and_corr(tmp_path):
 
 def test_traced_mps_solve(tmp_path):
     argv = ["solve", "--method", "mps", "--n", "8", "--chi", "3", "--sweeps", "1"]
-    assert traced_span_names(tmp_path, "solve", argv + ["--out", str(tmp_path / "solve")]) == {
+    assert set(traced_span_names(tmp_path, "solve", argv + ["--out", str(tmp_path / "solve")])) == {
         "cli.import",
         "cli.main",
         "mps.random_init",

@@ -42,9 +42,21 @@ def test_solve_ed_manifest_records_the_block(tmp_path):
     assert manifest["block_dim"] == 4
     assert manifest["lanczos_iterations"] >= 2
     assert manifest["residual_norm"] <= 1e-10
-    assert manifest["cross_block_gap"] == pytest.approx(0.684741648982099, abs=1e-9)
+    # the block's two lowest levels: -1/2 - (1 + sqrt 13)/2 and -1/2
+    assert manifest["ritz_gap"] == pytest.approx((1 + 13**0.5) / 2, abs=1e-9)
     state = json.loads((out / "state.json").read_text())
     assert state["k_over_pi"] == 1 and len(state["representatives"]) == 4
+    assert "sz_total" not in state
+
+
+def test_corr_reads_an_ed_state_that_still_carries_sz_total(tmp_path):
+    # files written before the field was dropped give the same matrix
+    payload = _ed_state(tmp_path)
+    for name, extra in (("new", {}), ("old", {"sz_total": 0})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**payload, **extra}))
+        assert run(["corr", "--state", str(path), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "old" / "matrix.csv").read_bytes() == (tmp_path / "new" / "matrix.csv").read_bytes()
 
 
 def assert_rejected(argv, out, capsys, may_succeed=False):

@@ -1,7 +1,5 @@
 """Lanczos ground states and full small-chain spectra vs dense oracles."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import bethe_energy, embed_in_full_space, kron_hamiltonian
 from spinsvd import exact
-from spinsvd.basis import SectorBasis, dense_hamiltonian, enumerate_sector, neel_config
+from spinsvd.basis import (
+    SectorBasis,
+    apply_hamiltonian_to_array,
+    dense_hamiltonian,
+    enumerate_sector,
+    neel_config,
+)
 from spinsvd.corr import build_from_wavefunction, build_thermal
 from spinsvd.errors import ConvergenceError, DegenerateGroundStateError, InvalidSizeError
 from spinsvd.exact import (
@@ -19,6 +23,7 @@ from spinsvd.exact import (
     lanczos_ground_state,
     momentum_ground_state,
 )
+from spinsvd.lanczos import lowest_ritz_pair
 
 
 def test_ground_energy_n4(ground_n4):
@@ -33,7 +38,7 @@ def test_ground_amplitudes_n4(ground_n4):
 
 @pytest.mark.parametrize("n", range(4, 17, 2))
 def test_momentum_ground_state_matches_bethe_ansatz(n):
-    assert momentum_ground_state(n)[0].energy == pytest.approx(bethe_energy(n), rel=1e-13, abs=0)
+    assert momentum_ground_state(n).energy == pytest.approx(bethe_energy(n), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -87,10 +92,10 @@ def test_j_scaling():
 @pytest.mark.parametrize("n", [12, 16])
 def test_energy_scales_with_j(n, j_coupling):
     # Lanczos runs at unit |J|: the residual and gap bounds do not see the size of J
-    ref, ref_gap = momentum_ground_state(n)
-    sol, cross_block_gap = momentum_ground_state(n, j_coupling)
+    ref = momentum_ground_state(n)
+    sol = momentum_ground_state(n, j_coupling)
     assert abs(sol.energy - j_coupling * ref.energy) <= 1e-12 * abs(j_coupling * ref.energy)
-    assert abs(cross_block_gap - j_coupling * ref_gap) <= 1e-9 * j_coupling * ref_gap
+    assert abs(sol.gap - j_coupling * ref.gap) <= 1e-9 * j_coupling * ref.gap
     assert np.array_equal(sol.wf.amps, ref.wf.amps)
 
 
@@ -145,42 +150,63 @@ def test_step_budget_exhausted_raises_with_residual(monkeypatch):
 @pytest.mark.parametrize("n", range(4, 17, 2))
 def test_momentum_ground_state_matches_sector_lanczos(n, j_coupling):
     ref = lanczos_ground_state(enumerate_sector(n, 0), j_coupling)
-    sol, cross_block_gap = momentum_ground_state(n, j_coupling)
+    sol = momentum_ground_state(n, j_coupling)
     assert abs(sol.energy - ref.energy) <= 1e-12 * abs(ref.energy)
     # Marshall's sign rule: k = pi for N = 6, 10, 14; the ferromagnet sits at k = 0
     assert sol.wf.basis.k_over_pi == ((n // 2) % 2 if j_coupling > 0 else 0)
-    assert sol.residual_norm <= 1e-10 and sol.gap > 1e-8 and cross_block_gap > 1e-8
+    assert sol.residual_norm <= 1e-10 and sol.gap > 1e-8
     got = build_from_wavefunction(sol.wf)
     got.validate()
     assert np.max(np.abs(got.entries - build_from_wavefunction(ref.wf).entries)) < 1e-12
 
 
 @pytest.mark.parametrize(
-    "gaps,energies,match",
-    [
-        ((1.0, 0.0), (-1.0, 0.0), None),  # a degenerate level in the other block is fine
-        ((1e-9, 1.0), (-1.0, 0.0), "Ritz gap"),
-        ((1.0, 1.0), (-1.0, -1.0 + 1e-9), "k = 0 / pi gap"),
-    ],
+    "n,j_coupling", [(18, 1.0), (20, 1.0), (22, 1.0), (24, 1.0), (18, -0.7), (20, -0.7)]
 )
-def test_momentum_ground_state_gap_checks(monkeypatch, gaps, energies, match):
+def test_sign_rule_block_lies_below_the_other_block(n, j_coupling):
+    # the CLI's sizes, beyond the sector oracle above: the other block's lowest
+    # Ritz value, with no gap check, lies above the kept block's energy
+    sol = momentum_ground_state(n, j_coupling)
+    kept = sol.wf.basis
+    other = kept.orbits.block(n // 2 - kept.momentum)
+    unit = abs(j_coupling)
+    start = np.random.default_rng(0).standard_normal(other.dim)
+    thetas, _, _, converged = lowest_ritz_pair(
+        lambda v: apply_hamiltonian_to_array(other, v, j_coupling / unit), start, 1e-12, 300
+    )
+    assert converged and unit * thetas[0] - sol.energy > 1e-8 * unit
+
+
+def test_momentum_ground_state_solves_only_the_sign_rule_block(monkeypatch):
+    calls = []
     solve = exact.lanczos_ground_state
 
-    def with_block_values(basis, *args, min_gap=1e-8, **kwargs):
-        # the real call with this block's energy and Ritz gap swapped in
-        sol = solve(basis, *args, min_gap=min_gap, **kwargs)
-        k = basis.k_over_pi
-        if min_gap is not None and gaps[k] <= min_gap:
-            raise DegenerateGroundStateError(f"Ritz gap {gaps[k]} in block k = {k}")
-        return dataclasses.replace(sol, energy=energies[k], gap=gaps[k])
+    def recorded(basis, *args, **kwargs):
+        calls.append(basis.k_over_pi)
+        return solve(basis, *args, **kwargs)
 
-    monkeypatch.setattr(exact, "lanczos_ground_state", with_block_values)
-    if match is None:
-        sol, cross_block_gap = momentum_ground_state(8)
-        assert sol.wf.basis.k_over_pi == 0 and cross_block_gap == 1.0
+    monkeypatch.setattr(exact, "lanczos_ground_state", recorded)
+    for n, j_coupling, k_over_pi in [(8, 1.0, 0), (10, 1.0, 1), (10, -0.7, 0)]:
+        calls.clear()
+        assert momentum_ground_state(n, j_coupling).wf.basis.k_over_pi == k_over_pi
+        assert calls == [k_over_pi]
+
+
+@pytest.mark.parametrize("gap,raises", [(1e-9, True), (1e-7, False)])
+def test_momentum_ground_state_ritz_gap_check(monkeypatch, gap, raises):
+    # the real Lanczos run with its second Ritz value moved to E0 + gap (units of |J|)
+    run = exact.lowest_ritz_pair
+
+    def with_gap(*args):
+        thetas, *rest = run(*args)
+        return (np.array([thetas[0], thetas[0] + gap]), *rest)
+
+    monkeypatch.setattr(exact, "lowest_ritz_pair", with_gap)
+    if raises:
+        with pytest.raises(DegenerateGroundStateError, match="Ritz gap 1.000e-09 <= 1e-8"):
+            momentum_ground_state(8, -0.7)
     else:
-        with pytest.raises(DegenerateGroundStateError, match=match):
-            momentum_ground_state(8)
+        assert momentum_ground_state(8, -0.7).gap == pytest.approx(0.7 * gap, rel=1e-6)
 
 
 def test_full_spectrum_n4():
@@ -257,21 +283,6 @@ def test_full_spectrum_blocks_reproduce_every_sector(n, j_coupling):
         want = np.linalg.eigvalsh(dense_hamiltonian(enumerate_sector(n, sz), j_coupling))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, abs(j_coupling))
-
-
-def test_momentum_ground_state_shares_orbits_and_frees_operators(monkeypatch):
-    blocks = []
-    solve = exact.lanczos_ground_state
-
-    def recorded(basis, *args, **kwargs):
-        blocks.append(basis)
-        return solve(basis, *args, **kwargs)
-
-    monkeypatch.setattr(exact, "lanczos_ground_state", recorded)
-    momentum_ground_state(8)
-    assert [b.k_over_pi for b in blocks] == [0, 1]
-    assert blocks[0].orbits is blocks[1].orbits  # one orbit structure for both blocks
-    assert not any("hamiltonian" in vars(b) for b in blocks)  # hop tables released
 
 
 def test_full_spectrum_cap():

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -379,14 +380,16 @@ def test_n64_kernels_keep_a_uniform_decimal_scale(scale):
 
 
 @pytest.mark.parametrize("first,second", [(1e6, 1e-6), (1e-6, 1e6)], ids=["big-small", "small-big"])
-def test_energy_of_far_apart_half_rings_is_a_conditioning_error(first, second):
+@pytest.mark.parametrize("kernel", [mps.energy, mps.correlation_matrix], ids=["energy", "correlations"])
+def test_far_apart_half_rings_are_a_conditioning_error(kernel, first, second):
     # one half of the ring scaled by 1e12 against the other: the unit-scaled
-    # environment of site 0 underflows to 0 / 0 or overflows to nan / nan
+    # products over- or underflow; the kernel raises, and numpy prints no warning
     tensors = mps.random_init(64, 10, seed=1).tensors.copy()
     tensors[:32] *= first
     tensors[32:] *= second
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError):
-        mps.energy(mps.MpsState(64, 10, tensors))
+    with warnings.catch_warnings(), pytest.raises(ConditioningError):
+        warnings.simplefilter("error")
+        kernel(mps.MpsState(64, 10, tensors))
 
 
 def test_gauge_invariance():

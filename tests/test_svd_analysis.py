@@ -51,7 +51,7 @@ def test_sign_convention_without_ties():
 def test_sign_pivot_tolerates_rounding_ties():
     # every entry of the k = pi vector (rank 1) of the N = 16 ED matrix ties
     # in magnitude up to rounding; a symmetric 1e-16 perturbation keeps its sign
-    sol, _ = exact.momentum_ground_state(16)
+    sol = exact.momentum_ground_state(16)
     s = corr.build_from_wavefunction(sol.wf).entries
     top = sa.eigendecompose(s).vectors[:, 0]
     assert np.max(np.abs(top - 0.25 * (-1.0) ** np.arange(16))) < 1e-12
