@@ -9,10 +9,11 @@ matrix is scattered from them.
 
 H also commutes with translations, so each sector splits into momentum
 blocks: one state per translation orbit, labelled by the orbit's smallest
-configuration (its representative). A whole sector and a block share the
-bond flips; they differ only in where a flipped configuration lands and
-with what element. The k-independent part of that is computed once per
-sector (`translation_orbits`) and shared by all of its blocks.
+configuration (its representative). Every block is cut from its sector's
+orbits, `translation_orbits(sector).block(m)`. A whole sector and a block
+share the bond flips; they differ only in where a flipped configuration
+lands and with what element. The k-independent part of that is built once
+per sector, on a block's first Hamiltonian, and shared by all of its blocks.
 """
 
 from __future__ import annotations
@@ -41,17 +42,6 @@ class _ConfigList:
         if pos >= len(self.configs) or self.configs[pos] != config:
             raise KeyError(f"configuration {config:#x} not in sector")
         return pos
-
-    def _check_list(self, noun):
-        """Raise ValueError unless configs is a strictly increasing int64 list of
-        the S_z sector's configurations; noun names an entry in the messages."""
-        n, configs, sz = self.n_sites, self.configs, self.sz_total
-        if configs.ndim != 1 or configs.dtype != np.int64:
-            raise ValueError(f"{noun}s must be a list of integers")
-        if np.any(np.diff(configs) <= 0):
-            raise ValueError(f"{noun}s must be strictly increasing")
-        if np.any((configs < 0) | (configs >> n != 0) | (np.bitwise_count(configs) != n // 2 + sz)):
-            raise ValueError(f"{noun} outside the S_z = {sz} sector of {n} sites")
 
     def z_values(self):
         """(dim, n_sites) array of S^z eigenvalues (+-1/2) per site."""
@@ -145,8 +135,14 @@ class SectorBasis(_ConfigList):
     configs: np.ndarray  # int64, strictly increasing
 
     def __post_init__(self):
-        check_ring_size(self.n_sites)
-        self._check_list("configuration")
+        n, configs, sz = self.n_sites, self.configs, self.sz_total
+        check_ring_size(n)
+        if configs.ndim != 1 or configs.dtype != np.int64:
+            raise ValueError("configurations must be a list of integers")
+        if np.any(np.diff(configs) <= 0):
+            raise ValueError("configurations must be strictly increasing")
+        if np.any((configs < 0) | (configs >> n != 0) | (np.bitwise_count(configs) != n // 2 + sz)):
+            raise ValueError(f"configuration outside the S_z = {sz} sector of {n} sites")
 
     @cached_property
     def hamiltonian(self):
@@ -164,49 +160,47 @@ class SectorBasis(_ConfigList):
         return diagonal, _Hops(sources, targets, np.float64(0.5), self.dim)
 
 
-def _periods(reps, n_sites):
-    """Period R_a of each configuration: the smallest r > 0 with T^r a = a."""
-    return n_sites // sum(_translate(reps, r, n_sites) == reps for r in range(n_sites))
-
-
 @dataclass(frozen=True, eq=False)
 class _Orbits:
-    """The k-independent part of every momentum block of one S_z sector.
+    """The translation orbits of one S_z sector, which every momentum block is cut from.
 
-    reps holds the smallest configuration of each translation orbit and
-    periods its period. Bond flip f takes the representative of orbit
-    sources[f] to a configuration c with T^shifts[f] c the representative of
-    orbit targets[f]; ratios[f] = 1/2 sqrt(R_a / R_b) is its element without
-    the phase.
+    reps holds the smallest configuration of each orbit and periods its period.
     """
 
     n_sites: int
     sz_total: int
     reps: np.ndarray
     periods: np.ndarray
-    diagonal: np.ndarray
-    sources: np.ndarray
-    targets: np.ndarray
-    shifts: np.ndarray
-    ratios: np.ndarray
 
     def block(self, momentum):
         """The block of k = 2 pi momentum / N: each orbit with momentum * R_a = 0 mod N."""
         members = self.reps[momentum * self.periods % self.n_sites == 0]
         return MomentumBasis(self.n_sites, self.sz_total, momentum, members, self)
 
+    @cached_property
+    def exchange(self):
+        """(diagonal, sources, targets, shifts, ratios): the k-independent exchange.
+
+        Built on first use and shared by every block. Bond flip f takes the
+        representative of orbit sources[f] to a configuration c with
+        T^shifts[f] c the representative of orbit targets[f]; ratios[f] =
+        1/2 sqrt(R_a / R_b) is its element without the phase.
+        """
+        n, reps, periods = self.n_sites, self.reps, self.periods
+        diagonal, sources, flipped = _bond_flips(reps, n)
+        target_reps, shifts = _orbit_min(flipped, n)
+        targets = np.searchsorted(reps, target_reps)
+        ratios = 0.5 * np.sqrt(periods[sources] / periods[targets])
+        return diagonal, sources, targets, shifts, ratios
+
 
 def translation_orbits(sector):
-    """The translation orbits of a whole S_z sector and the exchange between them."""
+    """The translation orbits of a whole S_z sector."""
     n, reps = sector.n_sites, sector.configs
     for r in range(1, n):  # keep the smallest configuration of each orbit
         reps = reps[_translate(reps, r, n) >= reps]
-    periods = _periods(reps, n)
-    diagonal, sources, flipped = _bond_flips(reps, n)
-    target_reps, shifts = _orbit_min(flipped, n)
-    targets = np.searchsorted(reps, target_reps)
-    ratios = 0.5 * np.sqrt(periods[sources] / periods[targets])
-    return _Orbits(n, sector.sz_total, reps, periods, diagonal, sources, targets, shifts, ratios)
+    periods = n // sum(_translate(reps, r, n) == reps for r in range(n))  # N / #{r: T^r a = a}
+    return _Orbits(n, sector.sz_total, reps, periods)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,29 +212,15 @@ class MomentumBasis(_ConfigList):
     orbit's period. The state exists only when m R_a = 0 mod N. For k in
     {0, pi} (2m = 0 mod N) every amplitude is real; at S_z = 0 each period
     holds R_a / 2 up spins, so R_a is even and every orbit is in both of
-    those blocks. `orbits` is the sector's shared structure when the block
-    was cut from it; any other basis, such as one read from a file, is
-    checked on construction and is a valid block or raises ValueError.
+    those blocks. A block is made only by `translation_orbits(sector).block(m)`,
+    which holds the sector's orbits in `orbits`.
     """
 
     n_sites: int
     sz_total: int
     momentum: int
     configs: np.ndarray  # int64 representatives, strictly increasing
-    orbits: _Orbits | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.orbits is not None:
-            return
-        n, reps = self.n_sites, self.configs
-        check_ring_size(n)
-        if not 0 <= self.momentum < n:
-            raise ValueError(f"momentum must lie in 0..{n - 1}, got {self.momentum!r}")
-        self._check_list("representative")
-        if np.any(_orbit_min(reps, n)[0] != reps):
-            raise ValueError("configuration is not the smallest of its translation orbit")
-        if np.any(self.momentum * _periods(reps, n) % n):
-            raise ValueError(f"orbit without a state at momentum 2 pi {self.momentum} / {n}")
+    orbits: _Orbits = field(repr=False)
 
     @property
     def k_over_pi(self):
@@ -260,16 +240,15 @@ class MomentumBasis(_ConfigList):
         the sign alternating only at k = pi, for the two real blocks, and
         complex otherwise (their matrix is built with `dense_hamiltonian`;
         the matvec takes real blocks only). Several hops from a to the same
-        b add up in `@`. A hop to an orbit outside `configs` is dropped, so
-        on a partial list this is H projected onto its span.
+        b add up in `@`. A hop to an orbit without a state at this k is
+        dropped: a momentum-k state has no weight on that orbit.
         """
         n, m = self.n_sites, self.momentum
-        orbits = self.orbits or translation_orbits(enumerate_sector(n, self.sz_total))
-        pos = np.searchsorted(orbits.reps, self.configs)
-        sources, targets = orbits.sources, orbits.targets
-        ratios, shifts = orbits.ratios, orbits.shifts
-        if len(pos) < len(orbits.reps):  # renumber the block's orbits, drop the other hops
-            index = np.full(len(orbits.reps), -1)
+        diagonal, sources, targets, shifts, ratios = self.orbits.exchange
+        reps = self.orbits.reps
+        pos = np.searchsorted(reps, self.configs)
+        if len(pos) < len(reps):  # renumber the block's orbits, drop the other hops
+            index = np.full(len(reps), -1)
             index[pos] = np.arange(self.dim)
             sources, targets = index[sources], index[targets]
             keep = (sources >= 0) & (targets >= 0)
@@ -280,7 +259,7 @@ class MomentumBasis(_ConfigList):
             values = np.where(turns == 0, ratios, -ratios)
         else:
             values = ratios * np.exp(-2j * np.pi / n * turns)
-        return orbits.diagonal[pos], _Hops(sources, targets, values, self.dim)
+        return diagonal[pos], _Hops(sources, targets, values, self.dim)
 
 
 @dataclass(eq=False)

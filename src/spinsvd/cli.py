@@ -40,13 +40,13 @@ ED_CLI_CAP = 24
 
 
 def __getattr__(name):
-    # PEP 562: benchmarks/traced_cli.py wraps cli.enumerate_sector by name, so the
-    # basis names stay cli attributes; only their first use imports spinsvd.basis
-    if name not in ("MomentumBasis", "Wavefunction", "enumerate_sector"):
+    # PEP 562: benchmarks/traced_cli.py wraps cli.enumerate_sector by name, so it
+    # stays a cli attribute; only its first use imports spinsvd.basis
+    if name != "enumerate_sector":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import basis
+    from .basis import enumerate_sector
 
-    return getattr(basis, name)
+    return enumerate_sector
 
 
 def _fmt(x):
@@ -143,7 +143,9 @@ def load_state(path):
     """(fields, state) of a STATE_FORMAT file, every field the state needs checked.
 
     The state is the solver object that `corr` reads: an `MpsState`, or for
-    ED the `Wavefunction` on its momentum block.
+    ED the `Wavefunction` on its momentum block. That block is cut from the
+    S_z = 0 sector's orbits, and the file's representatives must equal its
+    configurations.
     """
     payload = json.loads(Path(path).read_text())
     if type(payload) is not dict or payload.get("format") != STATE_FORMAT:
@@ -162,14 +164,17 @@ def load_state(path):
             raise ValueError(f"tensors have shape {tensors.shape}, expected {(n, 2, chi * chi)}")
         state = mps.MpsState(n, chi, tensors.reshape(n, 2, chi, chi))
     else:
-        from .basis import MomentumBasis, Wavefunction
+        from .basis import Wavefunction, enumerate_sector, translation_orbits
 
         if n > ED_CLI_CAP:
             raise InvalidSizeError(f"ed supports n <= {ED_CLI_CAP}, got {n}")
         k_over_pi = fields.integer("k_over_pi", 0)
         if k_over_pi > 1:
             raise ValueError(f"k_over_pi must be 0 or 1, got {k_over_pi}")
-        basis = MomentumBasis(n, 0, k_over_pi * n // 2, np.array(fields["representatives"]))
+        basis = translation_orbits(enumerate_sector(n, 0)).block(k_over_pi * n // 2)
+        reps = np.array(fields["representatives"])
+        if reps.dtype != np.int64 or not np.array_equal(reps, basis.configs):
+            raise ValueError(f"representatives are not the {basis.dim} orbits of the k_over_pi = {k_over_pi} block")
         amps = fields.numbers("amplitudes")
         if amps.shape != (basis.dim,):
             raise ValueError(f"{amps.size} amplitudes for {basis.dim} basis states")
@@ -265,6 +270,7 @@ def _cmd_corr(args):
     spec = svd_analysis.eigendecompose(cm)
     files = {"matrix.csv": (write_matrix_csv, cm.entries), "matrix.pgm": (write_pgm, cm.entries)}
     meta.update(provenance=cm.provenance, trace_check=_trace_check(spec))
+    meta.update(row_sum_max=cm.row_sum_max(), circulant_deviation=cm.circulant_deviation())
     return files, meta, f"correlation matrix ({cm.provenance})"
 
 
@@ -314,14 +320,19 @@ def _parse_components(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an integer >= low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _finite_float(text, allowed, requirement):
@@ -371,9 +382,9 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="compute a ground state (ED or MPS)")
     p_solve.add_argument("--method", choices=["ed", "mps"], required=True)
     p_solve.add_argument("--n", type=int, required=True, help="even chain length >= 4")
-    p_solve.add_argument("--chi", type=_positive_int, default=10)
-    p_solve.add_argument("--sweeps", type=_positive_int, default=40)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--chi", type=_int_at_least(1), default=10)
+    p_solve.add_argument("--sweeps", type=_int_at_least(1), default=40)
+    p_solve.add_argument("--seed", type=_int_at_least(0), default=0)
     p_solve.add_argument("--j", type=_coupling, default=1.0)
     p_solve.add_argument("--out", required=True)
     p_solve.set_defaults(func=_cmd_solve)

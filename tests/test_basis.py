@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import correlator_zz, kron_hamiltonian
 from spinsvd.basis import (
-    MomentumBasis,
     SectorBasis,
     Wavefunction,
     apply_hamiltonian,
@@ -381,12 +380,6 @@ def test_every_momentum_block_is_sector_operator_restricted(n, j_coupling):
             real = 2 * m % n == 0
             assert h_block.dtype == (np.float64 if real else np.complex128)
             assert np.max(np.abs(h @ v - v @ h_block), initial=0.0) < 1e-12
-            # the same block read without its sector's orbits: checked, same operator
-            loaded = MomentumBasis(n, sz, m, block.configs)
-            assert np.array_equal(dense_hamiltonian(loaded, j_coupling), h_block)
-            if block.dim < len(orbits.reps):
-                with pytest.raises(ValueError, match="without a state at momentum"):
-                    MomentumBasis(n, sz, m, orbits.reps)
 
 
 def test_correlator_diagonal_and_symmetry():

@@ -59,6 +59,30 @@ def test_corr_reads_an_ed_state_that_still_carries_sz_total(tmp_path):
     assert (tmp_path / "old" / "matrix.csv").read_bytes() == (tmp_path / "new" / "matrix.csv").read_bytes()
 
 
+def test_load_state_cuts_the_block_without_its_exchange(tmp_path):
+    # corr reads only the block's configurations, so the sector's exchange is never built
+    payload = _ed_state(tmp_path)
+    _, wf = cli.load_state(_write_state(tmp_path, payload))
+    assert wf.basis.configs.tolist() == payload["representatives"]
+    assert "exchange" not in vars(wf.basis.orbits)
+
+
+@pytest.mark.parametrize("source", ["thermal", "ed", "mps"])
+def test_corr_manifest_records_the_matrix_checks(tmp_path, source):
+    argv = ["corr", "--beta", "1", "--n", "6"]
+    if source != "thermal":
+        solve = ["solve", "--method", source, "--n", "6", "--chi", "2", "--sweeps", "1"]
+        assert run([*solve, "--out", str(tmp_path / "solve")]) == 0
+        argv = ["corr", "--state", str(tmp_path / "solve" / "state.json")]
+    assert run([*argv, "--out", str(tmp_path / "corr")]) == 0
+    manifest = json.loads((tmp_path / "corr" / "manifest.json").read_text())
+    cm = CorrelationMatrix(6, cli.read_matrix_csv(tmp_path / "corr" / "matrix.csv"), manifest["provenance"])
+    assert manifest["row_sum_max"] == cm.row_sum_max()
+    assert manifest["circulant_deviation"] == cm.circulant_deviation()
+    if source != "mps":  # ED and thermal matrices are built as exact circulants
+        assert manifest["circulant_deviation"] == 0.0
+
+
 def assert_rejected(argv, out, capsys, may_succeed=False):
     """Exit 1, one error line on stderr, and no --out directory left behind;
     with may_succeed, exit 0 passes too."""
@@ -120,6 +144,13 @@ def test_solve_rejects_nonpositive_counts(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert "error:" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["ed", "mps"])
+def test_solve_rejects_negative_seed(tmp_path, capsys, method):
+    argv = ["solve", "--method", method, "--n", "8", "--seed", "-1"]
+    err = assert_rejected(argv, tmp_path / "run", capsys)
+    assert err == "error: spinsvd solve: argument --seed: must be an integer >= 0, got '-1'\n"
 
 
 @pytest.mark.parametrize(
@@ -213,6 +244,9 @@ def _ed_state(tmp_path, n=6):
     return json.loads((out / "state.json").read_text())
 
 
+_NOT_THE_BLOCK = "representatives are not the 4 orbits of the k_over_pi = 1 block"
+
+
 def _write_state(tmp_path, payload):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(payload))
@@ -222,11 +256,14 @@ def _write_state(tmp_path, payload):
 @pytest.mark.parametrize(
     "field,edit,message",
     [
-        ("representatives", lambda reps: reps[::-1], "strictly increasing"),
-        ("representatives", lambda reps: [reps[0], *reps[:-1]], "strictly increasing"),
-        ("representatives", lambda reps: [*reps[:-1], reps[-1] | 1 << 5], "S_z = 0 sector"),
-        ("representatives", lambda reps: [*reps[:-1], 0b101010], "translation orbit"),
-        ("representatives", lambda reps: reps[:-1], "4 amplitudes for 3"),
+        ("representatives", lambda reps: reps[::-1], _NOT_THE_BLOCK),
+        ("representatives", lambda reps: [reps[0], *reps[:-1]], _NOT_THE_BLOCK),
+        ("representatives", lambda reps: [*reps[:-1], reps[-1] | 1 << 5], _NOT_THE_BLOCK),
+        ("representatives", lambda reps: [*reps[:-1], 0b101010], _NOT_THE_BLOCK),
+        ("representatives", lambda reps: reps[:-1], _NOT_THE_BLOCK),
+        ("representatives", lambda reps: [reps[1], reps[0], *reps[2:]], _NOT_THE_BLOCK),
+        ("representatives", lambda reps: [float(r) for r in reps], _NOT_THE_BLOCK),
+        ("representatives", lambda reps: [True] * len(reps), _NOT_THE_BLOCK),
         ("amplitudes", lambda amps: [float("nan"), *amps[1:]], "non-finite"),
         ("amplitudes", lambda amps: [float("inf"), *amps[1:]], "non-finite"),
         ("amplitudes", lambda amps: amps + [0.0], "5 amplitudes for 4"),
@@ -248,6 +285,9 @@ def _write_state(tmp_path, payload):
         "popcount",
         "not-representative",
         "short-reps",
+        "swapped-reps",
+        "float-reps",
+        "bool-reps",
         "nan-amp",
         "inf-amp",
         "long-amps",
@@ -672,7 +712,6 @@ def test_mps_corr_loads_no_ed_code(tmp_path):
 
 def test_basis_names_stay_cli_attributes():
     code = "from spinsvd import basis, cli\nassert cli.enumerate_sector is basis.enumerate_sector"
-    code += "\nassert (cli.MomentumBasis, cli.Wavefunction) == (basis.MomentumBasis, basis.Wavefunction)"
     assert "spinsvd.basis" in loaded_submodules(code)
     with pytest.raises(AttributeError):
         cli.no_such_name

@@ -218,6 +218,15 @@ def test_full_spectrum_n4():
     assert sum(s.multiplicity * s.basis.dim for s in spec.sectors) == 16
 
 
+def test_full_spectrum_blocks_of_a_sector_share_one_exchange(spectrum_n8):
+    # each sector's exchange is built once, by its first block, and read by the rest
+    exchanges = {}
+    for s in spectrum_n8.sectors:
+        exchanges.setdefault(s.basis.sz_total, set()).add(id(vars(s.basis.orbits)["exchange"]))
+    assert sorted(exchanges) == [-4, -3, -2, -1, 0]
+    assert [len(ids) for ids in exchanges.values()] == [1] * 5
+
+
 def assert_sector_eigenpairs(spectrum):
     """Each sector: eigenpairs of its dense matrix, orthonormal, ascending."""
     for sector in spectrum.sectors:
